@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <sstream>
 
 #include "obs/flight_recorder.hh"
 #include "obs/metrics.hh"
@@ -201,8 +202,8 @@ Core::fetchAndDispatch()
                 _frontier = seq;
         }
         if (isStore(in.op) || isAtomic(in.op))
-            _sq.emplace(seq, SqEntry{invalidAddr, false, 0, false,
-                                     isAtomic(in.op)});
+            _sq.emplace(seq,
+                        SqEntry{invalidAddr, false, isAtomic(in.op)});
 
         // next fetch pc
         int next_pc = _pc + 1;
@@ -229,8 +230,11 @@ Core::fetchAndDispatch()
         if (needs_iq) {
             e.inIq = true;
             _iq.push_back(seq);
+            if (ready(e))
+                ++_iqReady;
         }
         _rob.emplace(seq, std::move(e));
+        _commitDirty = true;
         _pc = next_pc;
         if (_fetchBlocked)
             return;
@@ -272,8 +276,12 @@ Core::wakeConsumers(RobEntry &e)
     for (const auto &[cseq, op] : e.consumers) {
         RobEntry *c = robFind(cseq);
         if (c && !c->srcReady[op]) {
+            const bool was_ready = ready(*c);
             c->srcVal[std::size_t(op)] = e.result;
             c->srcReady[std::size_t(op)] = true;
+            if (c->inIq && !was_ready && ready(*c))
+                ++_iqReady;
+            _commitDirty = true; // a store's data may now be ready
         }
     }
     e.consumers.clear();
@@ -299,31 +307,36 @@ Core::ready(const RobEntry &e) const
 void
 Core::issueFromIq()
 {
+    // Oldest-first selection of up to fetchWidth ready entries. The
+    // walk ends once the budget or the ready entries run out; the
+    // unvisited tail stays as it is.
     int budget = _cfg.fetchWidth;
-    bool stalled = false;
-    std::vector<InstSeqNum> keep;
-    keep.reserve(_iq.size());
-    for (InstSeqNum seq : _iq) {
+    std::size_t keep = 0;
+    std::size_t i = 0;
+    for (; i < _iq.size() && budget > 0 && _iqReady > 0; ++i) {
+        const InstSeqNum seq = _iq[i];
         RobEntry *e = robFind(seq);
-        if (!e)
-            continue; // squashed
-        if (!stalled && budget > 0 && ready(*e)) {
-            --budget;
-            e->inIq = false;
-            e->issued = true;
-            eventQueue().scheduleIn(execLatency(e->in.op),
-                                    [this, seq]() { execute(seq); });
-        } else {
+        assert(e);
+        if (!ready(*e)) {
             // Stall-on-use cores issue strictly in order: the first
             // not-ready instruction blocks everything younger.
             // (Loads that already issued keep performing out of
             // order — exactly the EV5/ECL reordering window.)
             if (_cfg.inOrderIssue)
-                stalled = true;
-            keep.push_back(seq);
+                break;
+            _iq[keep++] = seq;
+            continue;
         }
+        --budget;
+        --_iqReady;
+        e->inIq = false;
+        e->issued = true;
+        eventQueue().scheduleIn(execLatency(e->in.op),
+                                [this, seq]() { execute(seq); });
     }
-    _iq = std::move(keep);
+    if (keep != i)
+        _iq.erase(_iq.begin() + std::ptrdiff_t(keep),
+                  _iq.begin() + std::ptrdiff_t(i));
 }
 
 void
@@ -333,6 +346,7 @@ Core::execute(InstSeqNum seq)
     if (!e || e->executed)
         return; // squashed (or atomic already performed at head)
     const Opcode op = e->in.op;
+    _commitDirty = true;
 
     if (isMem(op)) {
         // Address generation.
@@ -343,6 +357,11 @@ Core::execute(InstSeqNum seq)
             assert(lq);
             lq->addr = e->addr;
             lq->pc = e->pc;
+            if (isLoad(op))
+                _memReady.insert(std::upper_bound(_memReady.begin(),
+                                                  _memReady.end(),
+                                                  seq),
+                                 seq);
         }
         if (isStore(op) || isAtomic(op)) {
             SqEntry *sq = _sq.find(seq);
@@ -393,81 +412,94 @@ Core::execute(InstSeqNum seq)
 void
 Core::memIssue()
 {
+    // Visit the candidates oldest first, exactly as a walk of the
+    // whole LQ would; a candidate that was forwarded or accepted by
+    // the L1 leaves the list. Ones that could not go this cycle
+    // (fence, store match, owed lockdown, MSHRs full) stay and are
+    // retried next cycle: the L1 counts each refused attempt.
     int ports = _cfg.cachePorts;
-    for (auto [seq, lq] : _lq) {
-        if (ports <= 0)
-            break;
-        if (lq.isAtomic || lq.performed || lq.issued ||
-            lq.mustRetry || lq.addr == invalidAddr)
-            continue;
-
-        // A pending fence orders every younger load after it.
-        if (!_fences.empty() && *_fences.begin() < seq)
-            continue;
-
-        // Store-to-load forwarding / memory-dependence stall: find
-        // the youngest older store to the same word (descending
-        // walk from the first SQ entry at or past this load).
-        bool stalled = false;
-        bool forwarded = false;
-        for (auto sit = _sq.lowerBound(seq); sit != _sq.begin();) {
-            --sit;
-            const SqEntry &sq = sit->second;
-            if (!sq.addrReady || sq.addr != lq.addr)
-                continue;
-            if (sq.isAtomic) {
-                // The atomic has not performed (it would have left
-                // the SQ); its value is unknown: stall.
-                stalled = true;
-                break;
-            }
-            RobEntry *prod = robFind(sit->first);
-            assert(prod);
-            if (prod->srcReady[1]) {
-                bindLoad(seq, lq, prod->srcVal[1], 0, true);
-                ++_forwardedLoads;
-                forwarded = true;
-            } else {
-                stalled = true; // match without data yet
-            }
-            break;
-        }
-        if (forwarded) {
+    std::size_t keep = 0;
+    std::size_t i = 0;
+    for (; i < _memReady.size() && ports > 0; ++i) {
+        const InstSeqNum seq = _memReady[i];
+        LqEntry *lq = _lq.find(seq);
+        assert(lq);
+        if (tryIssueLoad(seq, *lq))
             --ports;
-            continue;
-        }
-        if (stalled)
-            continue;
+        else
+            _memReady[keep++] = seq;
+    }
+    if (keep != i)
+        _memReady.erase(_memReady.begin() + std::ptrdiff_t(keep),
+                        _memReady.begin() + std::ptrdiff_t(i));
+}
 
-        // Committed stores awaiting the cache: forward from the SB.
-        const SbEntry *sb_hit = nullptr;
-        for (auto it = _sb.rbegin(); it != _sb.rend(); ++it) {
-            if (it->addr == lq.addr) {
-                sb_hit = &*it;
-                break;
-            }
+bool
+Core::tryIssueLoad(InstSeqNum seq, LqEntry &lq)
+{
+    // A pending fence orders every younger load after it.
+    if (!_fences.empty() && *_fences.begin() < seq)
+        return false;
+
+    // Store-to-load forwarding / memory-dependence stall: find
+    // the youngest older store to the same word (descending
+    // walk from the first SQ entry at or past this load).
+    bool stalled = false;
+    bool forwarded = false;
+    for (auto sit = _sq.lowerBound(seq); sit != _sq.begin();) {
+        --sit;
+        const SqEntry &sq = sit->second;
+        if (!sq.addrReady || sq.addr != lq.addr)
+            continue;
+        if (sq.isAtomic) {
+            // The atomic has not performed (it would have left
+            // the SQ); its value is unknown: stall.
+            stalled = true;
+            break;
         }
-        if (sb_hit) {
-            bindLoad(seq, lq, sb_hit->data, 0, true);
+        RobEntry *prod = robFind(sit->first);
+        assert(prod);
+        if (prod->srcReady[1]) {
+            bindLoad(seq, lq, prod->srcVal[1], 0, true);
             ++_forwardedLoads;
-            --ports;
-            continue;
+            forwarded = true;
+        } else {
+            stalled = true; // match without data yet
         }
+        break;
+    }
+    if (forwarded)
+        return true;
+    if (stalled)
+        return false;
 
-        // WritersBlock optimisation (Section 3.4): do not issue new
-        // unordered loads for a line whose lockdown has already been
-        // seen — they would only receive unusable tear-off copies.
-        if (!orderedAtOrBefore(seq)) {
-            auto lk = _locks.find(lineOf(lq.addr));
-            if (lk != _locks.end() && lk->second.owed)
-                continue;
-        }
-
-        if (_l1->issueLoad(seq, lq.addr)) {
-            lq.issued = true;
-            --ports;
+    // Committed stores awaiting the cache: forward from the SB.
+    const SbEntry *sb_hit = nullptr;
+    for (auto it = _sb.rbegin(); it != _sb.rend(); ++it) {
+        if (it->addr == lq.addr) {
+            sb_hit = &*it;
+            break;
         }
     }
+    if (sb_hit) {
+        bindLoad(seq, lq, sb_hit->data, 0, true);
+        ++_forwardedLoads;
+        return true;
+    }
+
+    // WritersBlock optimisation (Section 3.4): do not issue new
+    // unordered loads for a line whose lockdown has already been
+    // seen — they would only receive unusable tear-off copies.
+    if (!orderedAtOrBefore(seq)) {
+        auto lk = _locks.find(lineOf(lq.addr));
+        if (lk != _locks.end() && lk->second.owed)
+            return false;
+    }
+
+    if (!_l1->issueLoad(seq, lq.addr))
+        return false; // MSHRs full: retry next cycle
+    lq.issued = true;
+    return true;
 }
 
 void
@@ -492,17 +524,12 @@ Core::bindLoad(InstSeqNum seq, LqEntry &lq, std::uint64_t value,
     assert(e);
     e->result = value;
     e->executed = true;
+    _commitDirty = true;
     wakeConsumers(*e);
 
-    // M-speculative? (an older load is still non-performed)
-    bool mspec = false;
-    for (auto it = _lq.begin(); it != _lq.end() && it->first < seq;
-         ++it) {
-        if (!it->second.performed) {
-            mspec = true;
-            break;
-        }
-    }
+    // M-speculative? (an older load is still non-performed; the
+    // frontier is the oldest one and has not moved yet)
+    const bool mspec = _frontier < seq;
     Addr lockdown_line = invalidAddr;
     if (mspec && !forwarded && _cfg.lockdown) {
         lockdown_line = lineOf(lq.addr);
@@ -522,7 +549,7 @@ Core::bindLoad(InstSeqNum seq, LqEntry &lq, std::uint64_t value,
     }
     _pendingChecks.emplace(
         seq, PendingCheck{lq.addr, ver, forwarded, lockdown_line});
-    recomputeFrontier();
+    advanceFrontier();
 }
 
 void
@@ -552,16 +579,18 @@ Core::loadMustRetry(InstSeqNum seq, Addr addr)
 }
 
 void
-Core::recomputeFrontier()
+Core::advanceFrontier()
 {
-    InstSeqNum f = invalidSeqNum;
-    for (auto [seq, lq] : _lq) {
-        if (!lq.performed) {
-            f = seq;
-            break;
-        }
+    // The frontier only moves forward: loads older than it are all
+    // performed, and a squash only removes the young end. Resume the
+    // walk at the old frontier (O(1) when it has not moved).
+    if (_frontier != invalidSeqNum) {
+        auto it = _lq.lowerBound(_frontier);
+        while (it != _lq.end() && it->second.performed)
+            ++it;
+        _frontier = it == _lq.end() ? invalidSeqNum : it->first;
     }
-    _frontier = f;
+    const InstSeqNum f = _frontier;
 
     // Completion walk: loads older than the frontier are now ordered
     // and performed, i.e. completed. Process them in program order:
@@ -583,6 +612,7 @@ Core::recomputeFrontier()
         for (auto lit = _ldt.begin(); lit != _ldt.end(); ++lit) {
             if (lit->first == it->first) {
                 _ldt.erase(lit);
+                _commitDirty = true;
                 break;
             }
         }
@@ -651,6 +681,7 @@ Core::drainStoreBuffer()
         _lastDrainedStore = head.seq;
         _l1->performStore(head.addr, head.data);
         _sb.pop_front();
+        _commitDirty = true;
     } else {
         _l1->requestWritePermission(line);
     }
@@ -680,6 +711,7 @@ Core::driveFence()
         return;
     e.executed = true;
     _fences.erase(seq);
+    _commitDirty = true;
 }
 
 void
@@ -707,6 +739,7 @@ Core::driveAtomic()
         });
     e.result = old;
     e.executed = true;
+    _commitDirty = true;
     wakeConsumers(e);
     LqEntry *lq = _lq.find(seq);
     assert(lq);
@@ -720,131 +753,40 @@ Core::driveAtomic()
 void
 Core::commit()
 {
-    int budget = _cfg.commitWidth;
-    bool saw_unperformed_load = false;
-    bool saw_unperformed_atomic = false;
-    bool saw_uncommitted_store = false;
+    // A scan that retired nothing is a pure function of state that
+    // only the marked events change (docs/PERFORMANCE.md), so until
+    // one of them happens the next scan would retire nothing too.
+    if (!_commitDirty)
+        return;
+    _commitDirty = false;
 
+    int budget = _cfg.commitWidth;
+    CommitScan scan;
     for (auto it = _rob.begin(); it != _rob.end() && budget > 0;) {
         RobEntry &e = it->second;
-        const Opcode op = e.in.op;
         const bool at_head = it == _rob.begin();
-
-        if (_cfg.commitMode == CommitMode::InOrder && !at_head)
-            return;
-
-        // Bell-Lipasti condition 3: unresolved control flow.
-        if (isConditionalBranch(op) && !e.executed)
-            return;
-        // Condition 4: unresolved store (or atomic) address.
-        if ((isStore(op) || isAtomic(op)) && !e.addrReady)
-            return;
-
-        bool can = false;
-        bool export_ldt = false;
-
-        if (op == Opcode::Halt) {
-            if (at_head) {
-                _halted = true;
-                ++_commits;
-                ++_committed;
-                WB_EVENT(recorder(), now(), EvKind::Commit,
-                         EvUnit::Core, _id);
-                if (_commitHook)
-                    _commitHook(it->first, e.pc, e.in, invalidAddr);
-                _rob.erase(it);
-            }
-            return;
-        } else if (isLoad(op)) {
-            const bool completed =
-                e.executed && orderedAtOrBefore(it->first);
-            if (completed) {
-                // Performed + ordered: condition 6 holds.
-                can = true;
-            } else if (_cfg.commitMode == CommitMode::OooSafe) {
-                // Squash-and-re-execute core. The *oldest*
-                // outstanding load (the SoS load) performs ordered
-                // and can never be invalidation-squashed, so
-                // completed younger non-memory instructions may
-                // retire past it. Any further outstanding load
-                // could later perform M-speculatively and be
-                // squashed — rolling back past committed state —
-                // so the scan stops there (condition 6). This is
-                // exactly the serialisation WritersBlock lifts.
-                if (e.executed || saw_unperformed_load)
-                    return; // M-speculative or 2nd outstanding
-                saw_unperformed_load = true;
-            } else if (!e.executed) {
-                saw_unperformed_load = true;
-            } else {
-                // Performed but M-speculative, lockdown-capable (or
-                // deliberately unsafe) core.
-                const LqEntry *lq = _lq.find(it->first);
-                const bool has_lockdown = lq && lq->lockdown;
-                switch (_cfg.commitMode) {
-                  case CommitMode::OooWB:
-                    if (!has_lockdown) {
-                        can = true; // forwarded load: local value
-                    } else if (int(_ldt.size()) < _cfg.ldtSize) {
-                        can = true;
-                        export_ldt = true;
-                    }
-                    break;
-                  case CommitMode::OooUnsafe:
-                    can = true;
-                    break;
-                  default:
-                    break; // InOrder: wait (head only anyway)
-                }
-            }
-        } else if (isFence(op)) {
-            if (!e.executed) {
-                // Nothing may retire past a pending full fence.
-                if (_cfg.commitMode != CommitMode::InOrder)
-                    return;
-                saw_unperformed_load = true;
-                saw_unperformed_atomic = true;
-            } else {
-                can = true;
-            }
-        } else if (isAtomic(op)) {
-            if (!e.executed) {
-                // Loads younger than a non-performed atomic remain
-                // squashable even in a lockdown core (Section 3.7):
-                // stop the scan so no committed instruction can fall
-                // inside a future invalidation squash.
-                if (_cfg.commitMode != CommitMode::InOrder)
-                    return;
-                saw_unperformed_atomic = true;
-                saw_unperformed_load = true;
-            } else {
-                can = true;
-            }
-        } else if (isStore(op)) {
-            // Stores commit in program order (store->store through
-            // the FIFO SB) and never relax load->store
-            // (Section 3.1.2).
-            can = e.addrReady && e.srcReady[1] &&
-                  !saw_unperformed_load &&
-                  !saw_unperformed_atomic &&
-                  !saw_uncommitted_store &&
-                  int(_sb.size()) < _cfg.sbSize;
-            if (!can)
-                saw_uncommitted_store = true;
-        } else {
-            can = e.executed;
-        }
-
-        if (!can) {
-            if (_cfg.commitMode == CommitMode::InOrder)
-                return;
+        const CommitStep step = commitStep(it->first, e, at_head, scan);
+        if (step == CommitStep::Stop)
+            break;
+        if (step == CommitStep::Skip) {
             ++it;
             continue;
         }
 
+        if (e.in.op == Opcode::Halt) {
+            _halted = true;
+            ++_commits;
+            ++_committed;
+            WB_EVENT(recorder(), now(), EvKind::Commit, EvUnit::Core,
+                     _id);
+            if (_commitHook)
+                _commitHook(it->first, e.pc, e.in, invalidAddr);
+            _rob.erase(it);
+            return;
+        }
         if (!at_head)
             ++_oooCommits;
-        if (export_ldt) {
+        if (step == CommitStep::RetireToLdt) {
             _ldt.push_back(
                 {it->first, LdtEntry{lineOf(e.addr), false}});
             ++_ldtExports;
@@ -853,6 +795,114 @@ Core::commit()
         --budget;
         it = _rob.erase(it);
     }
+    if (budget < _cfg.commitWidth)
+        _commitDirty = true; // retiring changed what the scan reads
+}
+
+Core::CommitStep
+Core::commitStep(InstSeqNum seq, const RobEntry &e, bool at_head,
+                 CommitScan &scan) const
+{
+    const Opcode op = e.in.op;
+
+    if (_cfg.commitMode == CommitMode::InOrder && !at_head)
+        return CommitStep::Stop;
+
+    // Bell-Lipasti condition 3: unresolved control flow.
+    if (isConditionalBranch(op) && !e.executed)
+        return CommitStep::Stop;
+    // Condition 4: unresolved store (or atomic) address.
+    if ((isStore(op) || isAtomic(op)) && !e.addrReady)
+        return CommitStep::Stop;
+
+    if (op == Opcode::Halt)
+        return at_head ? CommitStep::Retire : CommitStep::Stop;
+
+    bool can = false;
+    bool export_ldt = false;
+    if (isLoad(op)) {
+        const bool completed = e.executed && orderedAtOrBefore(seq);
+        if (completed) {
+            // Performed + ordered: condition 6 holds.
+            can = true;
+        } else if (_cfg.commitMode == CommitMode::OooSafe) {
+            // Squash-and-re-execute core. The *oldest*
+            // outstanding load (the SoS load) performs ordered
+            // and can never be invalidation-squashed, so
+            // completed younger non-memory instructions may
+            // retire past it. Any further outstanding load
+            // could later perform M-speculatively and be
+            // squashed — rolling back past committed state —
+            // so the scan stops there (condition 6). This is
+            // exactly the serialisation WritersBlock lifts.
+            if (e.executed || scan.unperformedLoad)
+                return CommitStep::Stop; // M-spec or 2nd outstanding
+            scan.unperformedLoad = true;
+        } else if (!e.executed) {
+            scan.unperformedLoad = true;
+        } else {
+            // Performed but M-speculative, lockdown-capable (or
+            // deliberately unsafe) core.
+            const LqEntry *lq = _lq.find(seq);
+            const bool has_lockdown = lq && lq->lockdown;
+            switch (_cfg.commitMode) {
+              case CommitMode::OooWB:
+                if (!has_lockdown) {
+                    can = true; // forwarded load: local value
+                } else if (int(_ldt.size()) < _cfg.ldtSize) {
+                    can = true;
+                    export_ldt = true;
+                }
+                break;
+              case CommitMode::OooUnsafe:
+                can = true;
+                break;
+              default:
+                break; // InOrder: wait (head only anyway)
+            }
+        }
+    } else if (isFence(op)) {
+        if (!e.executed) {
+            // Nothing may retire past a pending full fence.
+            if (_cfg.commitMode != CommitMode::InOrder)
+                return CommitStep::Stop;
+            scan.unperformedLoad = true;
+            scan.unperformedAtomic = true;
+        } else {
+            can = true;
+        }
+    } else if (isAtomic(op)) {
+        if (!e.executed) {
+            // Loads younger than a non-performed atomic remain
+            // squashable even in a lockdown core (Section 3.7):
+            // stop the scan so no committed instruction can fall
+            // inside a future invalidation squash.
+            if (_cfg.commitMode != CommitMode::InOrder)
+                return CommitStep::Stop;
+            scan.unperformedAtomic = true;
+            scan.unperformedLoad = true;
+        } else {
+            can = true;
+        }
+    } else if (isStore(op)) {
+        // Stores commit in program order (store->store through
+        // the FIFO SB) and never relax load->store
+        // (Section 3.1.2).
+        can = e.addrReady && e.srcReady[1] &&
+              !scan.unperformedLoad && !scan.unperformedAtomic &&
+              !scan.uncommittedStore &&
+              int(_sb.size()) < _cfg.sbSize;
+        if (!can)
+            scan.uncommittedStore = true;
+    } else {
+        can = e.executed;
+    }
+
+    if (!can)
+        return _cfg.commitMode == CommitMode::InOrder
+                   ? CommitStep::Stop
+                   : CommitStep::Skip;
+    return export_ldt ? CommitStep::RetireToLdt : CommitStep::Retire;
 }
 
 void
@@ -866,7 +916,7 @@ Core::retireEntry(RobEntry &e)
     if (isLoad(op) || isAtomic(op))
         _lq.erase(e.seq);
     if (isStore(op)) {
-        _sb.push_back(SbEntry{e.seq, e.addr, e.srcVal[1], false});
+        _sb.push_back(SbEntry{e.seq, e.addr, e.srcVal[1]});
         ++_storesCommitted;
     }
     if (isAtomic(op)) {
@@ -907,6 +957,8 @@ Core::squashFrom(InstSeqNum first_bad, int new_pc, Counter &reason)
         RobEntry &e = *ep;
         if (writesReg(e.in.op))
             _regMap[e.in.dst] = e.prevWriter;
+        if (e.inIq && ready(e))
+            --_iqReady;
         if (const LqEntry *lq = _lq.find(seq)) {
             if (lq->lockdown)
                 releaseLockdown(lineOf(lq->addr));
@@ -918,17 +970,19 @@ Core::squashFrom(InstSeqNum first_bad, int new_pc, Counter &reason)
         _rob.erase(seq);
         ++_squashedInstrs;
     }
-    _iq.erase(std::remove_if(_iq.begin(), _iq.end(),
-                             [&](InstSeqNum s) {
-                                 return s >= first_bad;
-                             }),
+    // Both lists are ascending: the squashed entries are their tails.
+    _iq.erase(std::lower_bound(_iq.begin(), _iq.end(), first_bad),
               _iq.end());
+    _memReady.erase(std::lower_bound(_memReady.begin(),
+                                     _memReady.end(), first_bad),
+                    _memReady.end());
+    _commitDirty = true;
     _pc = new_pc;
     _fetchBlocked = false;
     _fetchStallUntil = now() + _cfg.mispredictPenalty;
     WB_EVENT(recorder(), now(), EvKind::Squash, EvUnit::Core, _id,
              0, gone.size());
-    recomputeFrontier();
+    advanceFrontier();
 }
 
 // ---------------------------------------------------------------
@@ -967,6 +1021,58 @@ Core::dumpState(std::ostream &os) const
     for (const auto &[line, li] : _locks)
         os << "  lock line=" << std::hex << line << std::dec
            << " count=" << li.count << " owed=" << li.owed << "\n";
+}
+
+std::string
+Core::checkBookkeeping() const
+{
+    std::ostringstream err;
+    int ready_count = 0;
+    for (std::size_t i = 0; i < _iq.size(); ++i) {
+        const RobEntry *e = _rob.find(_iq[i]);
+        if (!e || !e->inIq)
+            err << "IQ seq " << _iq[i] << " not a waiting ROB entry; ";
+        else if (ready(*e))
+            ++ready_count;
+        if (i > 0 && _iq[i - 1] >= _iq[i])
+            err << "IQ not ascending at seq " << _iq[i] << "; ";
+    }
+    if (ready_count != _iqReady)
+        err << "ready IQ entries " << ready_count << " but count "
+            << _iqReady << "; ";
+
+    std::vector<InstSeqNum> cands;
+    InstSeqNum frontier = invalidSeqNum;
+    for (auto [seq, lq] : _lq) {
+        if (!lq.isAtomic && !lq.performed && !lq.issued &&
+            !lq.mustRetry && lq.addr != invalidAddr)
+            cands.push_back(seq);
+        if (!lq.performed && frontier == invalidSeqNum)
+            frontier = seq;
+    }
+    if (cands != _memReady)
+        err << "memIssue candidates: " << cands.size()
+            << " in the LQ, " << _memReady.size() << " tracked; ";
+    if (frontier != _frontier)
+        err << "frontier " << _frontier << " but oldest unperformed "
+            << "load " << frontier << "; ";
+
+    if (!_commitDirty && !_halted) {
+        CommitScan scan;
+        for (auto it = _rob.begin(); it != _rob.end(); ++it) {
+            const CommitStep step =
+                commitStep(it->first, it->second, it == _rob.begin(),
+                           scan);
+            if (step == CommitStep::Stop)
+                break;
+            if (step != CommitStep::Skip) {
+                err << "commit idle but seq " << it->first
+                    << " can retire; ";
+                break;
+            }
+        }
+    }
+    return err.str();
 }
 
 Core::PipelineSnapshot
@@ -1090,7 +1196,6 @@ Core::serializeState(ByteWriter &w) const
         w.b(e.inIq);
         w.b(e.issued);
         w.b(e.executed);
-        w.b(e.committed);
         w.b(e.predictedTaken);
         w.u64(e.addr);
         w.b(e.addrReady);
@@ -1122,8 +1227,6 @@ Core::serializeState(ByteWriter &w) const
         w.u64(seq);
         w.u64(e.addr);
         w.b(e.addrReady);
-        w.u64(e.data);
-        w.b(e.dataReady);
         w.b(e.isAtomic);
     }
 
@@ -1132,7 +1235,6 @@ Core::serializeState(ByteWriter &w) const
         w.u64(e.seq);
         w.u64(e.addr);
         w.u64(e.data);
-        w.b(e.requested);
     }
 
     w.u64(_ldt.size());
@@ -1173,7 +1275,6 @@ Core::serializeState(ByteWriter &w) const
     }
 
     w.u64(_frontier);
-    w.u64(_checkedUpTo);
 
     w.u64(_fences.size());
     for (InstSeqNum s : _fences)
@@ -1182,7 +1283,6 @@ Core::serializeState(ByteWriter &w) const
     w.u64(_nextSeq);
     w.u64(_lastDrainedStore);
     w.u64(_commits);
-    w.i64(_robLive);
 }
 
 } // namespace wb

@@ -32,6 +32,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -136,6 +137,16 @@ class Core : public SimObject, public CoreMemIf
     /** Dump pipeline state (watchdog diagnostics). */
     void dumpState(std::ostream &os) const;
 
+    /**
+     * Recompute the event-driven stages' bookkeeping by brute force
+     * and compare: the ready-IQ count, the memIssue candidate list,
+     * the frontier, and — when commit believes nothing changed —
+     * that a full Bell-Lipasti scan of the ROB would retire nothing.
+     * O(ROB + IQ + LQ); for tests only, never on the tick path.
+     * @return "" when consistent, else what disagrees.
+     */
+    std::string checkBookkeeping() const;
+
     /** Structured pipeline summary for crash reports. */
     struct PipelineSnapshot
     {
@@ -185,7 +196,6 @@ class Core : public SimObject, public CoreMemIf
         bool inIq = false;
         bool issued = false;
         bool executed = false;  //!< result/addr known (loads: bound)
-        bool committed = false;
         // branches
         bool predictedTaken = false;
         // memory
@@ -212,8 +222,6 @@ class Core : public SimObject, public CoreMemIf
     {
         Addr addr = invalidAddr;
         bool addrReady = false;
-        std::uint64_t data = 0;
-        bool dataReady = false;
         bool isAtomic = false;
     };
 
@@ -222,7 +230,6 @@ class Core : public SimObject, public CoreMemIf
         InstSeqNum seq;
         Addr addr;
         std::uint64_t data;
-        bool requested = false;
     };
 
     struct LdtEntry
@@ -258,7 +265,23 @@ class Core : public SimObject, public CoreMemIf
     void driveSoS();
 
     // commit helpers
-    bool commitOne(RobEntry &e);
+    /** What one step of the commit scan does with a ROB entry. */
+    enum class CommitStep
+    {
+        Stop,   //!< nothing at or past this entry may retire
+        Skip,   //!< cannot retire yet; younger entries may
+        Retire,
+        RetireToLdt, //!< retire and export its lockdown to the LDT
+    };
+    /** Scan-local Bell-Lipasti state, reset per scan. */
+    struct CommitScan
+    {
+        bool unperformedLoad = false;
+        bool unperformedAtomic = false;
+        bool uncommittedStore = false;
+    };
+    CommitStep commitStep(InstSeqNum seq, const RobEntry &e,
+                          bool at_head, CommitScan &scan) const;
     void retireEntry(RobEntry &e);
 
     // squash machinery
@@ -271,9 +294,12 @@ class Core : public SimObject, public CoreMemIf
     bool ready(const RobEntry &e) const;
 
     // load/store helpers
+    /** Try to forward or issue one memIssue candidate.
+     *  @return true if it was forwarded or the L1 accepted it. */
+    bool tryIssueLoad(InstSeqNum seq, LqEntry &lq);
     void bindLoad(InstSeqNum seq, LqEntry &lq, std::uint64_t value,
                   Version ver, bool forwarded);
-    void recomputeFrontier();
+    void advanceFrontier();
     void releaseLockdown(Addr line);
     InstSeqNum oldestPendingAtomic() const;
     bool orderedAtOrBefore(InstSeqNum seq) const;
@@ -297,7 +323,7 @@ class Core : public SimObject, public CoreMemIf
 
     // structures (flat seq-indexed rings; docs/PERFORMANCE.md)
     SeqTable<RobEntry> _rob;
-    std::vector<InstSeqNum> _iq; // waiting entries (seq)
+    std::vector<InstSeqNum> _iq; // waiting entries (seq), ascending
     SeqTable<LqEntry> _lq;
     SeqTable<SqEntry> _sq;
     std::deque<SbEntry> _sb;
@@ -311,7 +337,6 @@ class Core : public SimObject, public CoreMemIf
     std::unordered_map<Addr, LockInfo> _locks;
     std::map<InstSeqNum, PendingCheck> _pendingChecks;
     InstSeqNum _frontier = invalidSeqNum; //!< oldest non-performed ld
-    InstSeqNum _checkedUpTo = 0;
 
     /** Pending (non-executed) fences, oldest first. */
     std::set<InstSeqNum> _fences;
@@ -320,7 +345,19 @@ class Core : public SimObject, public CoreMemIf
     InstSeqNum _lastDrainedStore = 0; //!< TSO st->st order assert
 
     std::uint64_t _commits = 0;
-    int _robLive = 0; //!< non-committed ROB entries
+
+    // Event-driven stage bookkeeping (docs/PERFORMANCE.md): each
+    // stage does work only when state it reads has changed.
+    /** IQ entries whose operands are ready (issue returns at once
+     *  when zero). */
+    int _iqReady = 0;
+    /** Loads with a known address not yet handed to the L1 or
+     *  forwarded (not atomic, not mustRetry), ascending: exactly the
+     *  LQ entries memIssue would act on. */
+    std::vector<InstSeqNum> _memReady;
+    /** State the commit scan reads changed since the last scan that
+     *  retired nothing. */
+    bool _commitDirty = false;
 
     // stats
     Counter &_cycles;

@@ -211,6 +211,36 @@ TEST(SnapshotContainer, TrailingGarbageIsRejected)
                  SnapshotError);
 }
 
+// A snapshot from an older encoding — well-formed, checksums intact —
+// is refused as unsupported before any section is interpreted, so a
+// stale checkpoint cannot reach the witness comparison.
+TEST(SnapshotContainer, OlderVersionIsRejectedAsUnsupported)
+{
+    auto bytes = sampleSnapshot().encode();
+    auto put_le = [&](std::size_t off, std::uint64_t v, int n) {
+        for (int i = 0; i < n; ++i)
+            bytes[off + std::size_t(i)] =
+                static_cast<unsigned char>(v >> (8 * i));
+    };
+    // Header: magic(8) version(4) sections(4) tick, config and
+    // workload fingerprints (3 x 8), then its checksum.
+    constexpr std::size_t header_len = 8 + 4 + 4 + 8 + 8 + 8;
+    put_le(8, SnapshotFile::version - 1, 4);
+    put_le(header_len, fnv1a64(bytes.data(), header_len), 8);
+    put_le(bytes.size() - 8, fnv1a64(bytes.data(), bytes.size() - 8),
+           8);
+    try {
+        SnapshotFile::decode(bytes.data(), bytes.size());
+        FAIL() << "older snapshot version was accepted";
+    } catch (const SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported snapshot version " +
+                      std::to_string(SnapshotFile::version - 1)),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 // ---------------------------------------------------------------
 // Fingerprints
 // ---------------------------------------------------------------
