@@ -37,11 +37,6 @@ runOne(LitmusKind kind, CommitMode mode, int iters)
     cfg.numCores = 4;
     cfg.checker = true;
     cfg.setMode(mode);
-    if (mode == CommitMode::OooUnsafe) {
-        cfg.core.commitMode = CommitMode::OooUnsafe;
-        cfg.core.lockdown = false;
-        cfg.mem.writersBlock = false;
-    }
     System sys(cfg, wl);
     Row row;
     row.mode = commitModeName(mode);

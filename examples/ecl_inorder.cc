@@ -54,8 +54,6 @@ main()
     for (const Flavour &f : flavours) {
         SystemConfig cfg;
         cfg.numCores = 8;
-        cfg.mesh.width = 4;
-        cfg.mesh.height = 2;
         cfg.setMode(CommitMode::InOrder);
         cfg.core.inOrderIssue = true;
         cfg.core.lockdown = f.lockdown;

@@ -70,8 +70,6 @@ main()
                             CommitMode::OooWB}) {
         SystemConfig cfg;
         cfg.numCores = kThreads;
-        cfg.mesh.width = 4;
-        cfg.mesh.height = 2;
         cfg.setMode(mode);
         System sys(cfg, wl);
         SimResults r = sys.run();

@@ -1,9 +1,13 @@
 #include "campaign/campaign_spec.hh"
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <sstream>
 
 #include "sim/log.hh"
+#include "sim/parse.hh"
 #include "trace/trace_workload.hh"
 #include "workload/benchmarks.hh"
 #include "workload/synthetic.hh"
@@ -101,13 +105,6 @@ CampaignSpec::configFor(const JobSpec &job) const
     cfg.maxCycles = maxCycles;
     cfg.network = network;
     cfg.ideal.jitter = jitter;
-    if (network == NetworkKind::Mesh) {
-        int w = 1;
-        while (w * w < cores)
-            ++w;
-        cfg.mesh.width = w;
-        cfg.mesh.height = (cores + w - 1) / w;
-    }
     if (watchdogCycles)
         cfg.watchdogCycles = watchdogCycles;
     if (txnWarnCycles)
@@ -119,10 +116,6 @@ CampaignSpec::configFor(const JobSpec &job) const
     if (teardownDrainCycles)
         cfg.teardownDrainCycles = teardownDrainCycles;
     cfg.setMode(job.mode);
-    if (job.mode == CommitMode::OooUnsafe) {
-        cfg.core.lockdown = false;
-        cfg.mem.writersBlock = false;
-    }
     if (!job.faultSpec.empty()) {
         std::string err;
         if (!parseFaultSpec(job.faultSpec, cfg.faults, err))
@@ -183,8 +176,6 @@ CampaignSpec::validate() const
         return "an axis is empty";
     if (seeds < 1)
         return "seeds must be >= 1";
-    if (cores < 1)
-        return "cores must be >= 1";
     if (maxRetries < 0)
         return "retries must be >= 0";
     if (!workloadFactory)
@@ -199,11 +190,8 @@ CampaignSpec::validate() const
                            "' does not exist";
                 continue;
             }
-            bool known = false;
-            for (const std::string &n : benchmarkNames())
-                if (n == wl)
-                    known = true;
-            if (!known)
+            if (std::count(benchmarkNames().begin(),
+                           benchmarkNames().end(), wl) == 0)
                 return "unknown workload '" + wl + "'";
         }
     for (const CampaignMix &mix : mixes)
@@ -213,42 +201,16 @@ CampaignSpec::validate() const
             if (!parseFaultSpec(mix.spec, fc, err))
                 return "mix '" + mix.name + "': " + err;
         }
-    if (recovery.enabled &&
-        (recovery.pollCycles == 0 ||
-         recovery.retryTimeoutCycles == 0 ||
-         recovery.retransmitBaseCycles == 0))
-        return "recovery cycle parameters must be >= 1";
+    // Machine rules: every (mode, class, variant, mix) cell of the
+    // first workload yields the configs all workloads will run.
+    for (const JobSpec &job : expand()) {
+        if (job.seedIndex != 0 || job.workload != workloads.front())
+            continue;
+        const std::string bad = configFor(job).validate();
+        if (!bad.empty())
+            return bad;
+    }
     return "";
-}
-
-bool
-parseCommitMode(const std::string &s, CommitMode &out)
-{
-    if (s == "in-order")
-        out = CommitMode::InOrder;
-    else if (s == "ooo-safe")
-        out = CommitMode::OooSafe;
-    else if (s == "ooo-wb" || s == "ooo-writersblock")
-        out = CommitMode::OooWB;
-    else if (s == "ooo-unsafe")
-        out = CommitMode::OooUnsafe;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseCoreClass(const std::string &s, CoreClass &out)
-{
-    if (s == "SLM" || s == "slm")
-        out = CoreClass::SLM;
-    else if (s == "NHM" || s == "nhm")
-        out = CoreClass::NHM;
-    else if (s == "HSW" || s == "hsw")
-        out = CoreClass::HSW;
-    else
-        return false;
-    return true;
 }
 
 namespace
@@ -284,18 +246,6 @@ splitList(const std::string &s)
     return out;
 }
 
-bool
-parseBool(const std::string &v, bool &out)
-{
-    if (v == "on" || v == "true" || v == "1" || v == "yes")
-        out = true;
-    else if (v == "off" || v == "false" || v == "0" || v == "no")
-        out = false;
-    else
-        return false;
-    return true;
-}
-
 } // namespace
 
 bool
@@ -310,6 +260,53 @@ parseCampaignSpec(std::istream &in, CampaignSpec &out,
     auto fail = [&](const std::string &what) {
         err = "line " + std::to_string(lineno) + ": " + what;
         return false;
+    };
+    // Scalar keys, each parsed strictly into its field (a complaint
+    // or ""); range rules live in validate() and
+    // SystemConfig::validate().
+    using Setter = std::function<std::string(const std::string &)>;
+    std::map<std::string, Setter> scalar;
+    const auto count = [&scalar](const char *key, auto &field) {
+        scalar[key] = [key, &field](const std::string &v) {
+            return parseCount(key, v, field);
+        };
+    };
+    count("seeds", out.seeds);
+    count("base-seed", out.baseSeed);
+    count("cores", out.cores);
+    count("jitter", out.jitter);
+    count("max-cycles", out.maxCycles);
+    count("watchdog", out.watchdogCycles);
+    count("txn-warn", out.txnWarnCycles);
+    count("txn-deadlock", out.txnDeadlockCycles);
+    count("poll", out.watchdogPollCycles);
+    count("drain", out.teardownDrainCycles);
+    count("retries", out.maxRetries);
+    count("retry-timeout", out.recovery.retryTimeoutCycles);
+    count("retry-budget", out.recovery.retryBudget);
+    count("recovery-poll", out.recovery.pollCycles);
+    count("retransmit-base", out.recovery.retransmitBaseCycles);
+    count("retransmit-budget", out.recovery.retransmitBudget);
+    count("flight-recorder", out.obs.flightRecorder);
+    count("timeline-period", out.obs.timelinePeriod);
+    count("metrics-period", out.obs.metricsPeriod);
+    const auto flag = [&scalar](const char *key, bool &field) {
+        scalar[key] = [&field](const std::string &v) -> std::string {
+            if (v == "on" || v == "true" || v == "1" || v == "yes")
+                field = true;
+            else if (v == "off" || v == "false" || v == "0" || v == "no")
+                field = false;
+            else
+                return "bad boolean '" + v + "'";
+            return "";
+        };
+    };
+    flag("profile-seed", out.useProfileSeed);
+    flag("checker", out.checker);
+    flag("recovery", out.recovery.enabled);
+    scalar["scale"] = [&out](const std::string &v) {
+        return parseReal("scale", v, 0,
+                         std::numeric_limits<double>::max(), out.scale);
     };
     while (std::getline(in, line)) {
         ++lineno;
@@ -364,77 +361,14 @@ parseCampaignSpec(std::istream &in, CampaignSpec &out,
                     return fail("unknown class '" + c + "'");
                 out.classes.push_back(cls);
             }
-        } else if (key == "seeds") {
-            out.seeds = std::atoi(value.c_str());
-        } else if (key == "base-seed") {
-            out.baseSeed = std::strtoull(value.c_str(), nullptr, 0);
-        } else if (key == "profile-seed") {
-            if (!parseBool(value, out.useProfileSeed))
-                return fail("bad boolean '" + value + "'");
-        } else if (key == "cores") {
-            out.cores = std::atoi(value.c_str());
-        } else if (key == "scale") {
-            out.scale = std::atof(value.c_str());
         } else if (key == "network") {
-            if (value == "mesh")
-                out.network = NetworkKind::Mesh;
-            else if (value == "ideal")
-                out.network = NetworkKind::Ideal;
-            else
+            if (!parseNetworkKind(value, out.network))
                 return fail("unknown network '" + value + "'");
-        } else if (key == "jitter") {
-            out.jitter = Tick(std::strtoull(value.c_str(), nullptr,
-                                            0));
-        } else if (key == "checker") {
-            if (!parseBool(value, out.checker))
-                return fail("bad boolean '" + value + "'");
-        } else if (key == "max-cycles") {
-            out.maxCycles = Tick(std::strtoull(value.c_str(),
-                                               nullptr, 0));
-        } else if (key == "watchdog") {
-            out.watchdogCycles = Tick(std::strtoull(value.c_str(),
-                                                    nullptr, 0));
-        } else if (key == "txn-warn") {
-            out.txnWarnCycles = Tick(std::strtoull(value.c_str(),
-                                                   nullptr, 0));
-        } else if (key == "txn-deadlock") {
-            out.txnDeadlockCycles = Tick(std::strtoull(
-                value.c_str(), nullptr, 0));
-        } else if (key == "poll") {
-            out.watchdogPollCycles = Tick(std::strtoull(
-                value.c_str(), nullptr, 0));
-        } else if (key == "drain") {
-            out.teardownDrainCycles = Tick(std::strtoull(
-                value.c_str(), nullptr, 0));
-        } else if (key == "retries") {
-            out.maxRetries = std::atoi(value.c_str());
-        } else if (key == "recovery") {
-            if (!parseBool(value, out.recovery.enabled))
-                return fail("bad boolean '" + value + "'");
-        } else if (key == "retry-timeout") {
-            out.recovery.retryTimeoutCycles = Tick(
-                std::strtoull(value.c_str(), nullptr, 0));
-        } else if (key == "retry-budget") {
-            out.recovery.retryBudget =
-                unsigned(std::strtoul(value.c_str(), nullptr, 0));
-        } else if (key == "recovery-poll") {
-            out.recovery.pollCycles = Tick(
-                std::strtoull(value.c_str(), nullptr, 0));
-        } else if (key == "retransmit-base") {
-            out.recovery.retransmitBaseCycles = Tick(
-                std::strtoull(value.c_str(), nullptr, 0));
-        } else if (key == "retransmit-budget") {
-            out.recovery.retransmitBudget =
-                unsigned(std::strtoul(value.c_str(), nullptr, 0));
-        } else if (key == "flight-recorder") {
-            out.obs.flightRecorder = std::size_t(
-                std::strtoull(value.c_str(), nullptr, 0));
-        } else if (key == "timeline-period") {
-            out.obs.timelinePeriod = Tick(
-                std::strtoull(value.c_str(), nullptr, 0));
-        } else if (key == "metrics-period") {
-            out.obs.metricsPeriod = Tick(
-                std::strtoull(value.c_str(), nullptr, 0));
+        } else if (const auto it = scalar.find(key);
+                   it != scalar.end()) {
+            const std::string bad = it->second(value);
+            if (!bad.empty())
+                return fail(bad);
         } else {
             return fail("unknown key '" + key + "'");
         }
@@ -445,18 +379,6 @@ parseCampaignSpec(std::istream &in, CampaignSpec &out,
         return false;
     }
     return true;
-}
-
-bool
-loadCampaignSpec(const std::string &path, CampaignSpec &out,
-                 std::string &err)
-{
-    std::ifstream f(path);
-    if (!f) {
-        err = "cannot open " + path;
-        return false;
-    }
-    return parseCampaignSpec(f, out, err);
 }
 
 } // namespace wb

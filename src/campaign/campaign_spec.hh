@@ -151,7 +151,8 @@ struct CampaignSpec
      */
     std::string cellKey(const JobSpec &job) const;
 
-    /** @return "" when the spec is runnable, else a diagnostic. */
+    /** @return "" when the spec is runnable, else a diagnostic.
+     *  Every cell's SystemConfig must pass SystemConfig::validate(). */
     std::string validate() const;
 };
 
@@ -164,13 +165,6 @@ std::uint64_t deriveSeed(std::uint64_t base,
                          const std::vector<std::string> &axes,
                          std::uint64_t n);
 
-/** Parse "in-order" | "ooo-safe" | "ooo-writersblock" (alias
- *  "ooo-wb") | "ooo-unsafe". @return false on unknown name. */
-bool parseCommitMode(const std::string &s, CommitMode &out);
-
-/** Parse "SLM" | "NHM" | "HSW" (any case). */
-bool parseCoreClass(const std::string &s, CoreClass &out);
-
 /**
  * Parse a campaign manifest (docs/CAMPAIGN.md grammar): one
  * `key = value` or `mix NAME [SPEC]` directive per line, '#'
@@ -179,10 +173,6 @@ bool parseCoreClass(const std::string &s, CoreClass &out);
  */
 bool parseCampaignSpec(std::istream &in, CampaignSpec &out,
                        std::string &err);
-
-/** Load a manifest from @p path. */
-bool loadCampaignSpec(const std::string &path, CampaignSpec &out,
-                      std::string &err);
 
 } // namespace wb
 

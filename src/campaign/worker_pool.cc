@@ -25,6 +25,7 @@
 #include "campaign/job_codec.hh"
 #include "campaign/job_journal.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
 
 namespace wb
 {
@@ -86,11 +87,7 @@ parseChaosSpec(const std::string &spec, std::string &mode,
     if (mode != "segv" && mode != "abort" && mode != "exit" &&
         mode != "hang" && mode != "mute" && mode != "oom")
         return false;
-    const std::string idx = s.substr(at + 1);
-    if (idx.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    index = std::size_t(std::strtoull(idx.c_str(), nullptr, 10));
-    return true;
+    return parseCount("", s.substr(at + 1), index).empty();
 }
 
 namespace

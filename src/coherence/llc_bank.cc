@@ -528,8 +528,8 @@ LLCBank::handleWrite(DirEntry &e, CohMsg &m)
         return;
       }
       case DirState::S: {
-        const std::uint32_t targets =
-            e.sharers & ~(std::uint32_t(1) << writer);
+        const SharerMask targets =
+            e.sharers & ~(SharerMask(1) << writer);
         const int n = std::popcount(targets);
         e.txnId = newTxn();
         const bool is_sharer =
@@ -621,7 +621,7 @@ LLCBank::handlePut(DirEntry &e, CohMsg &m)
           case DirState::I:
           case DirState::S:
           case DirState::EM: {
-            const std::uint32_t bit = std::uint32_t(1) << m.src;
+            const SharerMask bit = SharerMask(1) << m.src;
             if (e.state == DirState::S && (e.sharers & bit)) {
                 e.sharers &= ~bit;
                 if (e.sharers == 0)
@@ -886,9 +886,9 @@ LLCBank::maybeFinishRead(DirEntry &e, Addr line)
         e.sharers = 0;
     } else {
         e.state = DirState::S;
-        e.sharers |= std::uint32_t(1) << e.reqor;
+        e.sharers |= SharerMask(1) << e.reqor;
         if (e.oldOwner >= 0 && e.oldOwnerRetained)
-            e.sharers |= std::uint32_t(1) << e.oldOwner;
+            e.sharers |= SharerMask(1) << e.oldOwner;
         e.owner = -1;
     }
     e.oldOwner = -1;
@@ -1000,9 +1000,9 @@ LLCBank::startRecall(DirEntry &e, Addr line)
     }
     e.evicting = true;
     e.txnId = newTxn();
-    std::uint32_t targets = e.state == DirState::EM
-                                ? (std::uint32_t(1) << e.owner)
-                                : e.sharers;
+    SharerMask targets = e.state == DirState::EM
+                             ? (SharerMask(1) << e.owner)
+                             : e.sharers;
     e.recallPending = std::popcount(targets);
     assert(e.recallPending > 0);
     e.state = DirState::Recalling;

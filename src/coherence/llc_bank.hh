@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <ostream>
 #include <unordered_map>
 #include <unordered_set>
@@ -52,6 +53,13 @@ namespace wb
 class LLCBank : public SimObject
 {
   public:
+    /** Directory sharer set: one bit per core. */
+    using SharerMask = std::uint32_t;
+    /** Largest core count the sharer set can track
+     *  (SystemConfig::validate() rejects more). */
+    static constexpr int maxCores =
+        std::numeric_limits<SharerMask>::digits;
+
     LLCBank(std::string name, EventQueue *eq, StatRegistry *stats,
             BankId id, const MemSystemConfig &cfg, Network *net,
             MainMemory *memory);
@@ -128,7 +136,7 @@ class LLCBank : public SimObject
         bool haveData = false;
         bool dirty = false;
         DataBlock data{};
-        std::uint32_t sharers = 0;
+        SharerMask sharers = 0;
         int owner = -1;
 
         // transaction bookkeeping

@@ -15,6 +15,22 @@ commitModeName(CommitMode m)
     return "?";
 }
 
+bool
+parseCommitMode(const std::string &s, CommitMode &out)
+{
+    if (s == "in-order")
+        out = CommitMode::InOrder;
+    else if (s == "ooo-safe")
+        out = CommitMode::OooSafe;
+    else if (s == "ooo-wb" || s == "ooo-writersblock")
+        out = CommitMode::OooWB;
+    else if (s == "ooo-unsafe")
+        out = CommitMode::OooUnsafe;
+    else
+        return false;
+    return true;
+}
+
 const char *
 coreClassName(CoreClass c)
 {
@@ -24,6 +40,20 @@ coreClassName(CoreClass c)
       case CoreClass::HSW: return "HSW";
     }
     return "?";
+}
+
+bool
+parseCoreClass(const std::string &s, CoreClass &out)
+{
+    if (s == "SLM" || s == "slm")
+        out = CoreClass::SLM;
+    else if (s == "NHM" || s == "nhm")
+        out = CoreClass::NHM;
+    else if (s == "HSW" || s == "hsw")
+        out = CoreClass::HSW;
+    else
+        return false;
+    return true;
 }
 
 CoreConfig

@@ -42,8 +42,6 @@ Core::Core(std::string name, EventQueue *eq, StatRegistry *stats,
 {
     _regMap.fill(invalidSeqNum);
     _archWriter.fill(0);
-    if (cfg.commitMode == CommitMode::OooWB && !cfg.lockdown)
-        fatal("OooWB commit requires a lockdown core");
 }
 
 void

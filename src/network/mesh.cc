@@ -7,6 +7,15 @@
 namespace wb
 {
 
+void
+MeshConfig::fit(int nodes)
+{
+    width = 1;
+    while (width * width < nodes)
+        ++width;
+    height = (nodes + width - 1) / width;
+}
+
 MeshNetwork::MeshNetwork(std::string name, EventQueue *eq,
                          StatRegistry *stats, const MeshConfig &cfg)
     : Network(std::move(name), eq, stats, cfg.width * cfg.height),

@@ -28,6 +28,11 @@ struct MeshConfig
     Tick hopLatency = 6;       //!< switch-to-switch time (cycles)
     Tick localLatency = 1;     //!< node-internal delivery
     bool modelContention = true;
+
+    /** Take the smallest near-square shape that holds @p nodes:
+     *  width = ceil(sqrt(nodes)), height = ceil(nodes / width).
+     *  System sizes its mesh with this, so a mesh always fits. */
+    void fit(int nodes);
 };
 
 /** 2D mesh, X-then-Y dimension-ordered routing. */

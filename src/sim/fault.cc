@@ -1,8 +1,9 @@
 #include "sim/fault.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
+
+#include "sim/parse.hh"
 
 namespace wb
 {
@@ -28,19 +29,13 @@ splitOn(const std::string &s, char sep)
 bool
 parseProb(const std::string &s, double &out)
 {
-    char *end = nullptr;
-    out = std::strtod(s.c_str(), &end);
-    return end && *end == '\0' && out >= 0.0 && out <= 1.0;
+    return parseReal("", s, 0.0, 1.0, out).empty();
 }
 
 bool
 parseU64(const std::string &s, std::uint64_t &out)
 {
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 0);
-    return end && *end == '\0';
+    return parseCount("", s, out).empty();
 }
 
 std::string

@@ -52,12 +52,17 @@ configFingerprint(const SystemConfig &cfg)
     w.b(m.silentSharedEvictions);
     w.b(m.writersBlock);
 
+    // Hash the mesh shape the run will use: System fits it to
+    // numCores whatever the config holds.
+    MeshConfig mesh = cfg.mesh;
+    if (cfg.network == NetworkKind::Mesh)
+        mesh.fit(cfg.numCores);
     w.u8(std::uint8_t(cfg.network));
-    w.i64(cfg.mesh.width);
-    w.i64(cfg.mesh.height);
-    w.u64(cfg.mesh.hopLatency);
-    w.u64(cfg.mesh.localLatency);
-    w.b(cfg.mesh.modelContention);
+    w.i64(mesh.width);
+    w.i64(mesh.height);
+    w.u64(mesh.hopLatency);
+    w.u64(mesh.localLatency);
+    w.b(mesh.modelContention);
     w.i64(cfg.ideal.numNodes);
     w.u64(cfg.ideal.baseLatency);
     w.u64(cfg.ideal.jitter);

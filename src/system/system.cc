@@ -39,22 +39,71 @@ watchdogLine(const char *fmt, ...)
 
 } // namespace
 
+bool
+parseNetworkKind(const std::string &s, NetworkKind &out)
+{
+    if (s == "mesh")
+        out = NetworkKind::Mesh;
+    else if (s == "ideal")
+        out = NetworkKind::Ideal;
+    else
+        return false;
+    return true;
+}
+
+std::string
+SystemConfig::validate() const
+{
+    const auto range = [](const char *what, int v, int hi) {
+        return std::string(what) + " must be in [1, " +
+               std::to_string(hi) + "], got " + std::to_string(v);
+    };
+    if (numCores < 1 || numCores > LLCBank::maxCores)
+        return range("cores", numCores, LLCBank::maxCores) +
+               " (one directory sharer bit per core)";
+    if (shards < 1 || shards > numCores)
+        return range("shards", shards, numCores);
+    // Layers that log, sample or inject mid-run would need their own
+    // cross-shard ordering story (docs/PARALLEL.md).
+    const char *serial_only =
+        faults.enabled()         ? "fault injection"
+        : recovery.enabled       ? "recovery"
+        : obs.flightRecorder > 0 ? "the flight recorder"
+        : obs.timelinePeriod > 0 ? "the timeline"
+        : obs.metricsEnabled()   ? "metrics"
+                                 : nullptr;
+    if (shards > 1 && serial_only)
+        return std::string(serial_only) +
+               " is incompatible with shards > 1 (docs/PARALLEL.md)";
+    const std::string fault_err = faults.validate();
+    if (!fault_err.empty())
+        return "fault config: " + fault_err;
+    if (recovery.enabled &&
+        (recovery.pollCycles == 0 || recovery.retryTimeoutCycles == 0 ||
+         recovery.retransmitBaseCycles == 0))
+        return "recovery cycle parameters must be >= 1";
+    // Network::localLatency() and Network::lookahead() of each kind.
+    const bool mesh_net = network == NetworkKind::Mesh;
+    if ((mesh_net ? mesh.localLatency : ideal.localLatency) < 1)
+        return "network local latency must be >= 1 (a zero-latency "
+               "self-send would arrive inside its own tick)";
+    if ((mesh_net ? mesh.hopLatency : ideal.baseLatency) < 1)
+        return "network lookahead (mesh hop / ideal base latency) "
+               "must be >= 1";
+    if (core.commitMode == CommitMode::OooWB && !core.lockdown)
+        return "OooWB commit requires a lockdown core";
+    return "";
+}
+
 System::System(const SystemConfig &cfg, const Workload &workload)
     : _cfg(cfg)
 {
+    const std::string bad = cfg.validate();
+    if (!bad.empty())
+        fatal("%s", bad.c_str());
     if (int(workload.threads.size()) > cfg.numCores)
         fatal("workload has %d threads but only %d cores",
               int(workload.threads.size()), cfg.numCores);
-    if (cfg.shards < 1 || cfg.shards > cfg.numCores)
-        fatal("shards must be in [1, %d], got %d", cfg.numCores,
-              cfg.shards);
-    if (cfg.shards > 1 &&
-        (cfg.faults.enabled() || cfg.recovery.enabled ||
-         cfg.obs.flightRecorder > 0 || cfg.obs.timelinePeriod > 0 ||
-         cfg.obs.metricsEnabled()))
-        fatal("shards > 1 requires the fault, recovery and "
-              "observability layers to be disabled "
-              "(docs/PARALLEL.md)");
 
     // Pad programs so that every core has one (idle cores halt).
     _programs = workload.threads;
@@ -82,19 +131,8 @@ System::System(const SystemConfig &cfg, const Workload &workload)
     }
     _doneOnset.assign(std::size_t(cfg.numCores), 0);
 
-    if (cfg.faults.enabled()) {
-        // Programmatic configs bypass parseFaultSpec's validation;
-        // reject malformed probabilities/bounds here too.
-        const std::string err = cfg.faults.validate();
-        if (!err.empty())
-            fatal("fault config: %s", err.c_str());
+    if (cfg.faults.enabled())
         _faults = std::make_unique<FaultInjector>(cfg.faults);
-    }
-    if (cfg.recovery.enabled &&
-        (cfg.recovery.pollCycles == 0 ||
-         cfg.recovery.retryTimeoutCycles == 0 ||
-         cfg.recovery.retransmitBaseCycles == 0))
-        fatal("recovery config: cycle parameters must be >= 1");
 
     if (cfg.obs.flightRecorder > 0)
         _recorder = std::make_unique<FlightRecorder>(
@@ -107,23 +145,16 @@ System::System(const SystemConfig &cfg, const Workload &workload)
     // retransmission path schedules events on it).
     EventQueue *eq0 = &_shards[0]->eq;
     if (cfg.network == NetworkKind::Mesh) {
-        MeshConfig mc = cfg.mesh;
-        if (mc.width * mc.height < cfg.numCores)
-            fatal("mesh too small for %d cores", cfg.numCores);
+        _cfg.mesh.fit(cfg.numCores);
         _net = std::make_unique<MeshNetwork>("net", eq0, &_stats,
-                                             mc);
+                                             _cfg.mesh);
     } else {
         IdealNetworkConfig ic = cfg.ideal;
         ic.numNodes = cfg.numCores;
         _net = std::make_unique<IdealNetwork>("net", eq0, &_stats,
                                               ic);
     }
-    if (_net->localLatency() < 1)
-        fatal("network local latency must be >= 1 (a zero-latency "
-              "self-send would arrive inside its own tick)");
     _epochLen = _net->lookahead();
-    if (_epochLen < 1)
-        fatal("network lookahead must be >= 1");
     if (_faults)
         _net->setFaultInjector(_faults.get());
     if (cfg.recovery.enabled)

@@ -42,16 +42,22 @@ namespace wb
 /** Interconnect selection. */
 enum class NetworkKind
 {
-    Mesh,  //!< 4x4 mesh, Table 6 parameters
+    Mesh,  //!< 2D mesh sized to the core count, Table 6 parameters
     Ideal, //!< fixed latency + random jitter (adversarial tests)
 };
 
+/** Parse "mesh" | "ideal". @return false on any other name. */
+bool parseNetworkKind(const std::string &s, NetworkKind &out);
+
 struct SystemConfig
 {
-    int numCores = 16;
+    int numCores = 16; //!< 1..LLCBank::maxCores
     CoreConfig core;
     MemSystemConfig mem;
     NetworkKind network = NetworkKind::Mesh;
+    /** Mesh latencies and contention model. Its width and height
+     *  are derived: System fits them to numCores (MeshConfig::fit),
+     *  whatever they are set to here. */
     MeshConfig mesh;
     IdealNetworkConfig ideal;
     bool checker = true;         //!< attach the dynamic TSO checker
@@ -61,7 +67,8 @@ struct SystemConfig
      * (core + L1 + LLC bank); shards advance in barrier-synced
      * epochs bounded by the network's minimum cross-node latency.
      * Results are byte-identical for every value. Values > 1
-     * require the fault/recovery/observability layers to be off.
+     * require the fault/recovery/observability layers to be off
+     * (validate()).
      */
     int shards = 1;
     Tick maxCycles = 100'000'000;
@@ -97,6 +104,14 @@ struct SystemConfig
         core.lockdown = mode == CommitMode::OooWB;
         mem.writersBlock = core.lockdown;
     }
+
+    /**
+     * Every rule a runnable config must satisfy; System, wbsim and
+     * the campaign manifest all check configs here and nowhere
+     * else. @return "" when valid, otherwise a message naming the
+     * offending setting.
+     */
+    std::string validate() const;
 };
 
 /** Aggregated results of one simulation. */

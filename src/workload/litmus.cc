@@ -280,6 +280,36 @@ litmusName(LitmusKind k)
     return "?";
 }
 
+const std::vector<LitmusEntry> &
+litmusCatalog()
+{
+    static const std::vector<LitmusEntry> catalog{
+        {"table1", LitmusKind::Table1,
+         "paper Table 1: ld-ld reordering witness"},
+        {"table3", LitmusKind::Table3,
+         "paper Table 3: fine-grain sharing"},
+        {"sb", LitmusKind::StoreBuffer, "store buffering (Dekker)"},
+        {"sb-fence", LitmusKind::StoreBufferFenced,
+         "store buffering with fences"},
+        {"lb", LitmusKind::LoadBuffer, "load buffering"},
+        {"corr", LitmusKind::CoRR, "coherent read-read"},
+        {"iriw", LitmusKind::Iriw,
+         "independent reads, independent writes"},
+    };
+    return catalog;
+}
+
+bool
+parseLitmusKind(const std::string &s, LitmusKind &out)
+{
+    for (const LitmusEntry &e : litmusCatalog())
+        if (s == e.cliName) {
+            out = e.kind;
+            return true;
+        }
+    return false;
+}
+
 Workload
 makeLitmus(LitmusKind kind, int iterations)
 {

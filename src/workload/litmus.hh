@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "isa/program.hh"
 
@@ -47,6 +49,20 @@ enum class LitmusKind
 };
 
 const char *litmusName(LitmusKind k);
+
+/** A litmus test under the name the CLI tools accept. */
+struct LitmusEntry
+{
+    const char *cliName; //!< wbsim/wbtrace --workload value
+    LitmusKind kind;
+    const char *note;    //!< one-line description for --list
+};
+
+/** Every litmus test, in `wbsim --list` order. */
+const std::vector<LitmusEntry> &litmusCatalog();
+
+/** Look up a CLI litmus name. @return false if @p s names none. */
+bool parseLitmusKind(const std::string &s, LitmusKind &out);
 
 /** Build a litmus workload with @p iterations racing iterations. */
 Workload makeLitmus(LitmusKind kind, int iterations);

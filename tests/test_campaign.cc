@@ -19,44 +19,12 @@
 #include "campaign/campaign_runner.hh"
 #include "campaign/campaign_spec.hh"
 #include "campaign/fault_invariants.hh"
-#include "workload/synthetic.hh"
+#include "campaign_fixtures.hh"
 
 using namespace wb;
 
 namespace
 {
-
-/** A small, fast campaign spec over real synthetic workloads. */
-CampaignSpec
-tinySpec()
-{
-    CampaignSpec spec;
-    spec.name = "tiny";
-    spec.workloads = {"tiny"};
-    spec.modes = {CommitMode::InOrder, CommitMode::OooWB};
-    spec.mixes = {{"clean", ""}, {"delay", "delay=0.05:60"}};
-    spec.seeds = 2;
-    spec.baseSeed = 42;
-    spec.cores = 2;
-    spec.network = NetworkKind::Ideal;
-    spec.jitter = 4;
-    spec.maxCycles = 2'000'000;
-    spec.workloadFactory = [](const JobSpec &job,
-                              const CampaignSpec &s) {
-        SyntheticParams p;
-        p.name = "tiny";
-        p.iterations = 6;
-        p.bodyOps = 12;
-        p.privateWords = 64;
-        p.sharedWords = 64;
-        p.memRatio = 0.4;
-        p.storeRatio = 0.3;
-        p.sharedRatio = 0.3;
-        p.seed = job.seed;
-        return makeSynthetic(p, s.cores);
-    };
-    return spec;
-}
 
 CampaignResult
 runSpec(const CampaignSpec &spec, int jobs)
@@ -189,6 +157,31 @@ TEST(CampaignSpec, ManifestParsesAndValidates)
         "workloads = fft\nmix broken drop=oops\n");
     CampaignSpec s3;
     EXPECT_FALSE(parseCampaignSpec(bad3, s3, err));
+
+    // Numbers are strict (the complaint names the key), and the
+    // machine must pass SystemConfig::validate().
+    const struct
+    {
+        const char *line;
+        const char *complaint;
+    } strict[] = {
+        {"cores = 4x", "cores: trailing garbage"},
+        {"seeds = -1", "seeds: '-1' is not an unsigned number"},
+        {"max-cycles = 1e6", "max-cycles: trailing garbage"},
+        {"scale = 0.5.", "scale: trailing garbage"},
+        {"cores = 33", "cores must be in [1, "},
+        {"cores = 0", "cores must be in [1, "},
+        {"recovery = on\nrecovery-poll = 0",
+         "recovery cycle parameters"},
+    };
+    for (const auto &bad : strict) {
+        std::istringstream in_bad("workloads = fft\n" +
+                                  std::string(bad.line) + "\n");
+        CampaignSpec sb;
+        EXPECT_FALSE(parseCampaignSpec(in_bad, sb, err)) << bad.line;
+        EXPECT_NE(err.find(bad.complaint), std::string::npos)
+            << bad.line << ": got '" << err << "'";
+    }
 }
 
 TEST(CampaignAggregator, ReductionAndLiveCounts)
@@ -395,24 +388,6 @@ freshTeleDir(const std::string &name)
     std::filesystem::remove_all(d);
     std::filesystem::create_directories(d);
     return d;
-}
-
-/** Read a sidecar, dropping the wall-clock header key — the one
- *  field deliberately outside the determinism contract. */
-std::string
-sidecarNoWall(const std::string &path)
-{
-    std::ifstream f(path);
-    std::stringstream ss;
-    ss << f.rdbuf();
-    std::string s = ss.str();
-    const auto b = s.find("\"wall\":{");
-    if (b != std::string::npos) {
-        const auto e = s.find("},", b);
-        if (e != std::string::npos)
-            s.erase(b, e - b + 2);
-    }
-    return s;
 }
 
 CampaignResult

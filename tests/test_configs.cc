@@ -1,12 +1,16 @@
 /**
  * @file
  * Configuration conformance: the presets must match Table 6 of the
- * paper exactly, and SystemConfig::setMode must keep the core and
- * protocol flavours consistent.
+ * paper exactly, SystemConfig::setMode must keep the core and
+ * protocol flavours consistent, SystemConfig::validate() must refuse
+ * every broken config, and the front-end parsers must be strict.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "sim/parse.hh"
 #include "system/system.hh"
 
 namespace wb
@@ -77,6 +81,102 @@ TEST(Config, SetModeCouplesCoreAndProtocol)
     cfg.setMode(CommitMode::InOrder);
     EXPECT_FALSE(cfg.core.lockdown);
     EXPECT_FALSE(cfg.mem.writersBlock);
+    cfg.setMode(CommitMode::OooWB);
+    cfg.setMode(CommitMode::OooUnsafe); // the negative control
+    EXPECT_FALSE(cfg.core.lockdown);
+    EXPECT_FALSE(cfg.mem.writersBlock);
+}
+
+TEST(Config, ValidateAcceptsRunnableConfigs)
+{
+    for (CommitMode m : {CommitMode::InOrder, CommitMode::OooSafe,
+                         CommitMode::OooWB, CommitMode::OooUnsafe}) {
+        SystemConfig cfg;
+        cfg.setMode(m);
+        EXPECT_EQ(cfg.validate(), "") << commitModeName(m);
+    }
+    SystemConfig widest;
+    widest.numCores = LLCBank::maxCores;
+    widest.shards = LLCBank::maxCores;
+    EXPECT_EQ(widest.validate(), "");
+}
+
+TEST(Config, ValidateRejectsOneCasePerRule)
+{
+    // Break one rule of a default config; validate() must name it.
+    auto rejects = [](const char *complaint,
+                      const std::function<void(SystemConfig &)> &f) {
+        SystemConfig c;
+        f(c);
+        EXPECT_NE(c.validate().find(complaint), std::string::npos)
+            << complaint << ": got '" << c.validate() << "'";
+    };
+    rejects("cores must be", [](auto &c) { c.numCores = 0; });
+    rejects("sharer bit per core",
+            [](auto &c) { c.numCores = LLCBank::maxCores + 1; });
+    rejects("shards must be", [](auto &c) { c.shards = 0; });
+    rejects("shards must be", [](auto &c) { c.shards = 17; });
+    auto sharded = [&](const char *complaint, auto f) {
+        rejects(complaint, [f](SystemConfig &c) {
+            c.shards = 2;
+            f(c);
+        });
+    };
+    sharded("fault injection is incompatible",
+            [](auto &c) { c.faults.delayProb = 0.1; });
+    sharded("recovery is incompatible",
+            [](auto &c) { c.recovery.enabled = true; });
+    sharded("flight recorder is incompatible",
+            [](auto &c) { c.obs.flightRecorder = 64; });
+    sharded("timeline is incompatible",
+            [](auto &c) { c.obs.timelinePeriod = 100; });
+    sharded("metrics is incompatible",
+            [](auto &c) { c.obs.metrics = true; });
+    rejects("fault config: drop", [](auto &c) { c.faults.dropProb = 2; });
+    rejects("recovery cycle parameters", [](auto &c) {
+        c.recovery.enabled = true;
+        c.recovery.pollCycles = 0;
+    });
+    rejects("local latency", [](auto &c) { c.mesh.localLatency = 0; });
+    rejects("local latency", [](auto &c) {
+        c.network = NetworkKind::Ideal;
+        c.ideal.localLatency = 0;
+    });
+    rejects("lookahead", [](auto &c) { c.mesh.hopLatency = 0; });
+    rejects("lookahead", [](auto &c) {
+        c.network = NetworkKind::Ideal;
+        c.ideal.baseLatency = 0;
+    });
+    rejects("requires a lockdown core", [](auto &c) {
+        c.setMode(CommitMode::OooWB);
+        c.core.lockdown = false;
+    });
+}
+
+TEST(Config, MeshShapeDerivedFromCoreCount)
+{
+    const struct
+    {
+        int nodes, width, height;
+    } shapes[] = {{1, 1, 1}, {2, 2, 1},  {3, 2, 2},  {4, 2, 2},
+                  {8, 3, 3}, {16, 4, 4}, {17, 5, 4}, {32, 6, 6}};
+    for (const auto &sh : shapes) {
+        MeshConfig mesh;
+        mesh.fit(sh.nodes);
+        EXPECT_EQ(mesh.width, sh.width) << sh.nodes;
+        EXPECT_EQ(mesh.height, sh.height) << sh.nodes;
+    }
+    // System fits the mesh to numCores, whatever the config holds.
+    SystemConfig cfg;
+    cfg.numCores = 4;
+    cfg.mesh.width = 1;
+    cfg.mesh.height = 1;
+    Workload wl;
+    wl.threads.push_back(Program{Instr{Opcode::Halt, 0, 0, 0, 0,
+                                       0}});
+    const System sys(cfg, wl);
+    EXPECT_EQ(sys.config().mesh.width, 2);
+    EXPECT_EQ(sys.config().mesh.height, 2);
 }
 
 TEST(Config, ModeAndClassNames)
@@ -90,6 +190,40 @@ TEST(Config, ModeAndClassNames)
     EXPECT_STREQ(coreClassName(CoreClass::SLM), "SLM");
     EXPECT_STREQ(coreClassName(CoreClass::NHM), "NHM");
     EXPECT_STREQ(coreClassName(CoreClass::HSW), "HSW");
+
+    // Every printed name parses back; aliases and typos behave.
+    CommitMode mode{};
+    for (CommitMode m : {CommitMode::InOrder, CommitMode::OooSafe,
+                         CommitMode::OooWB, CommitMode::OooUnsafe}) {
+        EXPECT_TRUE(parseCommitMode(commitModeName(m), mode));
+        EXPECT_EQ(mode, m);
+    }
+    EXPECT_TRUE(parseCommitMode("ooo-wb", mode));
+    EXPECT_FALSE(parseCommitMode("ooo", mode));
+    CoreClass cls{};
+    EXPECT_TRUE(parseCoreClass("nhm", cls));
+    EXPECT_EQ(cls, CoreClass::NHM);
+    NetworkKind net{};
+    EXPECT_TRUE(parseNetworkKind("ideal", net));
+    EXPECT_FALSE(parseNetworkKind("mseh", net));
+}
+
+TEST(Config, StrictNumberParsers)
+{
+    int cores = 7;
+    EXPECT_EQ(parseCount("cores", "0x10", cores), "");
+    EXPECT_EQ(cores, 16);
+    for (const char *bad : {"", "4x", "-1", "+4", " 4", "1e6", "x",
+                            "99999999999"})
+        EXPECT_NE(parseCount("cores", bad, cores).find("cores: "),
+                  std::string::npos)
+            << "'" << bad << "'";
+    EXPECT_EQ(cores, 16); // untouched by a failed parse
+    double scale = 0;
+    EXPECT_EQ(parseReal("scale", "1e-2", 0, 1, scale), "");
+    EXPECT_DOUBLE_EQ(scale, 0.01);
+    for (const char *bad : {"", "0.5x", "nan", "inf", "2", "-0.1"})
+        EXPECT_NE(parseReal("scale", bad, 0, 1, scale), "") << bad;
 }
 
 } // namespace wb

@@ -40,8 +40,6 @@ smallConfig(CommitMode mode, CoreClass cls, bool in_order_issue)
 {
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.core = makeCoreConfig(cls);
     cfg.core.inOrderIssue = in_order_issue;
     cfg.maxCycles = 20'000'000;

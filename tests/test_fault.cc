@@ -237,8 +237,6 @@ TEST(NetworkLedger, CleanRunDeliversEverything)
     Workload wl = makeLitmus(LitmusKind::Table1, 100);
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.setMode(CommitMode::OooWB);
     System sys(cfg, wl);
     SimResults r = sys.run();
@@ -260,8 +258,6 @@ TEST(NetworkLedger, DroppedMessageStaysOnLedger)
     Workload wl = makeLitmus(LitmusKind::Table1, 200);
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.setMode(CommitMode::OooWB);
     std::string err;
     ASSERT_TRUE(

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/fault_invariants.hh"
 #include "system/crash_report.hh"
 #include "system/system.hh"
 #include "workload/synthetic.hh"
@@ -46,29 +47,16 @@ soakWorkload(std::uint64_t seed)
     return makeSynthetic(p, 4);
 }
 
+/** One cell of the fault campaign's machine (faultCampaignSpec). */
 SystemConfig
 soakConfig(CommitMode mode, const std::string &fault_spec,
            std::uint64_t fault_seed)
 {
-    SystemConfig cfg;
-    cfg.numCores = 4;
-    cfg.network = NetworkKind::Ideal;
-    cfg.ideal.jitter = 8;
-    cfg.maxCycles = 4'000'000;
-    cfg.watchdogCycles = 40'000;
-    cfg.txnWarnCycles = 6'000;
-    cfg.txnDeadlockCycles = 20'000;
-    cfg.watchdogPollCycles = 256;
-    cfg.teardownDrainCycles = 25'000;
-    cfg.setMode(mode);
-    if (!fault_spec.empty()) {
-        std::string err;
-        EXPECT_TRUE(
-            parseFaultSpec(fault_spec, cfg.faults, err))
-            << err;
-        cfg.faults.seed = fault_seed;
-    }
-    return cfg;
+    JobSpec job;
+    job.mode = mode;
+    job.faultSpec = fault_spec;
+    job.faultSeed = fault_seed;
+    return faultCampaignSpec().configFor(job);
 }
 
 struct Mix

@@ -34,8 +34,6 @@ litmusConfig(CommitMode mode, std::uint64_t jitter_seed = 1)
 {
     SystemConfig cfg;
     cfg.numCores = 4; // small mesh keeps latencies tight
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.maxCycles = 30'000'000;
     // Adversarially unordered network stresses message races.
     cfg.network = NetworkKind::Ideal;

@@ -54,8 +54,6 @@ void
 applyMesh(SystemConfig &cfg)
 {
     cfg.network = NetworkKind::Mesh;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
 }
 
 const Variant kVariants[] = {
@@ -121,8 +119,6 @@ TEST(LitmusExtended, UnsafeViolatesEvenOnMesh)
         Workload wl = makeLitmus(LitmusKind::Table1, kIters);
         SystemConfig cfg;
         cfg.numCores = 4;
-        cfg.mesh.width = 2;
-        cfg.mesh.height = 2;
         cfg.maxCycles = 60'000'000;
         cfg.setMode(CommitMode::OooUnsafe);
         cfg.core.lockdown = false;

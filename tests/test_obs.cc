@@ -35,8 +35,6 @@ obsConfig(std::size_t ring, Tick period)
 {
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.setMode(CommitMode::OooWB);
     cfg.obs.flightRecorder = ring;
     cfg.obs.timelinePeriod = period;

@@ -17,6 +17,7 @@
 #include "campaign/campaign_aggregator.hh"
 #include "campaign/campaign_runner.hh"
 #include "campaign/campaign_spec.hh"
+#include "campaign/fault_invariants.hh"
 #include "recovery/equivalence.hh"
 #include "recovery/recovery.hh"
 #include "system/crash_report.hh"
@@ -50,28 +51,17 @@ recoveryWorkload(std::uint64_t seed, bool single_writer = false)
     return makeSynthetic(p, 4);
 }
 
+/** One cell of the fault campaign's machine, recovery armed. */
 SystemConfig
 recoveryConfig(CommitMode mode, const std::string &fault_spec,
                std::uint64_t fault_seed)
 {
-    SystemConfig cfg;
-    cfg.numCores = 4;
-    cfg.network = NetworkKind::Ideal;
-    cfg.ideal.jitter = 8;
-    cfg.maxCycles = 4'000'000;
-    cfg.watchdogCycles = 40'000;
-    cfg.txnWarnCycles = 6'000;
-    cfg.txnDeadlockCycles = 20'000;
-    cfg.watchdogPollCycles = 256;
-    cfg.teardownDrainCycles = 25'000;
-    cfg.setMode(mode);
+    JobSpec job;
+    job.mode = mode;
+    job.faultSpec = fault_spec;
+    job.faultSeed = fault_seed;
+    SystemConfig cfg = faultCampaignSpec().configFor(job);
     cfg.recovery.enabled = true;
-    if (!fault_spec.empty()) {
-        std::string err;
-        EXPECT_TRUE(parseFaultSpec(fault_spec, cfg.faults, err))
-            << err;
-        cfg.faults.seed = fault_seed;
-    }
     return cfg;
 }
 
@@ -263,7 +253,7 @@ TEST(RecoveryCampaign, VerifyEquivalenceIsWorkerCountInvariant)
     // A small recovery campaign in --verify-equivalence mode: every
     // job must pass the equivalence check, and the aggregate JSON
     // and CSV must be byte-identical between -j1 and -j8.
-    CampaignSpec spec;
+    CampaignSpec spec = faultCampaignSpec(2); // its machine
     spec.name = "recovery-equivalence";
     spec.workloads = {"recovery"};
     spec.modes = {CommitMode::OooWB};
@@ -271,18 +261,6 @@ TEST(RecoveryCampaign, VerifyEquivalenceIsWorkerCountInvariant)
         {"clean", ""},
         {"drop", "drop=0.01:2"},
     };
-    spec.seeds = 2;
-    spec.baseSeed = 1000;
-    spec.cores = 4;
-    spec.network = NetworkKind::Ideal;
-    spec.jitter = 8;
-    spec.checker = true;
-    spec.maxCycles = 4'000'000;
-    spec.watchdogCycles = 40'000;
-    spec.txnWarnCycles = 6'000;
-    spec.txnDeadlockCycles = 20'000;
-    spec.watchdogPollCycles = 256;
-    spec.teardownDrainCycles = 25'000;
     spec.recovery.enabled = true;
     spec.workloadFactory = [](const JobSpec &job,
                               const CampaignSpec &) {

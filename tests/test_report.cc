@@ -44,8 +44,6 @@ TEST(Report, RunReportContainsKeyFields)
     Workload wl = makeLitmus(LitmusKind::Table1, 100);
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.setMode(CommitMode::OooWB);
     System sys(cfg, wl);
     SimResults r = sys.run();
@@ -77,8 +75,6 @@ TEST(Report, OmitsStatsWhenNotRequested)
     Workload wl = makeLitmus(LitmusKind::Table1, 20);
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.setMode(CommitMode::InOrder);
     System sys(cfg, wl);
     SimResults r = sys.run();
@@ -102,8 +98,6 @@ TEST(Report, SameSeedRunsAreByteIdentical)
 
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.setMode(CommitMode::OooWB);
 
     auto once = [&] {

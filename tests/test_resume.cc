@@ -23,44 +23,12 @@
 #include "campaign/campaign_spec.hh"
 #include "campaign/job_journal.hh"
 #include "campaign/result_cache.hh"
-#include "workload/synthetic.hh"
+#include "campaign_fixtures.hh"
 
 using namespace wb;
 
 namespace
 {
-
-/** A small, fast campaign spec over real synthetic workloads. */
-CampaignSpec
-tinySpec()
-{
-    CampaignSpec spec;
-    spec.name = "tiny";
-    spec.workloads = {"tiny"};
-    spec.modes = {CommitMode::InOrder, CommitMode::OooWB};
-    spec.mixes = {{"clean", ""}, {"delay", "delay=0.05:60"}};
-    spec.seeds = 2;
-    spec.baseSeed = 42;
-    spec.cores = 2;
-    spec.network = NetworkKind::Ideal;
-    spec.jitter = 4;
-    spec.maxCycles = 2'000'000;
-    spec.workloadFactory = [](const JobSpec &job,
-                              const CampaignSpec &s) {
-        SyntheticParams p;
-        p.name = "tiny";
-        p.iterations = 6;
-        p.bodyOps = 12;
-        p.privateWords = 64;
-        p.sharedWords = 64;
-        p.memRatio = 0.4;
-        p.storeRatio = 0.3;
-        p.sharedRatio = 0.3;
-        p.seed = job.seed;
-        return makeSynthetic(p, s.cores);
-    };
-    return spec;
-}
 
 JobResult
 sampleResult()

@@ -79,8 +79,6 @@ litmusConfig(NetworkKind nk)
 {
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.network = nk;
     cfg.ideal.numNodes = 4;
     cfg.ideal.baseLatency = 8;

@@ -48,8 +48,6 @@ litmusConfig()
 {
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.setMode(CommitMode::OooWB);
     return cfg;
 }

@@ -56,8 +56,6 @@ TEST_P(DrfEquivalence, ArchStateMatchesReference)
     cfg.numCores = 4;
     cfg.core = makeCoreConfig(cls);
     cfg.network = net;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.ideal.jitter = 9;
     cfg.maxCycles = 20'000'000;
     cfg.setMode(mode);
@@ -113,8 +111,6 @@ TEST(SystemMulti, DeterministicAcrossRuns)
     Workload wl = makeBenchmark("fmm", 4, 0.05);
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.setMode(CommitMode::OooWB);
     System a(cfg, wl);
     System b(cfg, wl);
@@ -179,8 +175,6 @@ TEST(SystemMulti, PrefetcherStaysCorrectAndIssues)
 
     SystemConfig cfg;
     cfg.numCores = 2;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 1;
     cfg.mem.prefetchNextLine = true;
     cfg.maxCycles = 20'000'000;
     cfg.setMode(CommitMode::OooWB);
@@ -223,6 +217,7 @@ TEST(SystemMulti, PrefetcherUnderContentionStaysTsoClean)
 
 TEST(SystemMulti, ConfigValidation)
 {
+    // The one workload-dependent rule: no more threads than cores.
     Workload wl;
     wl.threads.resize(5, Program{Instr{Opcode::Halt, 0, 0, 0, 0,
                                        0}});
@@ -230,19 +225,33 @@ TEST(SystemMulti, ConfigValidation)
     cfg.numCores = 4;
     EXPECT_THROW(System(cfg, wl), std::runtime_error);
 
-    SystemConfig small_mesh;
-    small_mesh.numCores = 16;
-    small_mesh.mesh.width = 2;
-    small_mesh.mesh.height = 2;
+    // Every config rule stops the constructor too
+    // (SystemConfig::validate(); one case per rule in test_configs).
     Workload one;
     one.threads.push_back(Program{Instr{Opcode::Halt, 0, 0, 0, 0,
                                         0}});
-    EXPECT_THROW(System(small_mesh, one), std::runtime_error);
-
     SystemConfig bad_mode;
     bad_mode.core.commitMode = CommitMode::OooWB;
     bad_mode.core.lockdown = false;
     EXPECT_THROW(System(bad_mode, one), std::runtime_error);
+}
+
+TEST(SystemMulti, CoreCountFitsSharerMask)
+{
+    // One core past the directory sharer mask is refused outright;
+    // at exactly its width every sharer bit is in use and the run
+    // must stay TSO-clean.
+    SystemConfig cfg;
+    cfg.setMode(CommitMode::OooWB);
+    cfg.numCores = LLCBank::maxCores + 1;
+    EXPECT_THROW(System(cfg, makeBenchmark("water_sp", 1, 0.05)),
+                 std::runtime_error);
+
+    cfg.numCores = LLCBank::maxCores;
+    System sys(cfg, makeBenchmark("water_sp", cfg.numCores, 0.02));
+    const SimResults r = sys.run();
+    ASSERT_TRUE(r.completed) << "deadlocked=" << r.deadlocked;
+    EXPECT_EQ(r.tsoViolations, 0u);
 }
 
 TEST(SystemMulti, MaxCyclesCapsRun)
@@ -291,8 +300,6 @@ TEST(SystemMulti, PeekCoherentFindsFreshestCopy)
     wl.threads.push_back(b.take());
     SystemConfig cfg;
     cfg.numCores = 2;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 1;
     System sys(cfg, wl);
     ASSERT_TRUE(sys.run().completed);
     // The line is still dirty in core 0's cache; memory is stale.
@@ -305,8 +312,6 @@ TEST(SystemMulti, SnapshotAggregatesCounters)
     Workload wl = makeBenchmark("water_sp", 4, 0.05);
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.setMode(CommitMode::OooWB);
     System sys(cfg, wl);
     SimResults r = sys.run();

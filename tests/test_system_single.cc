@@ -23,8 +23,6 @@ smallConfig(int cores = 1)
 {
     SystemConfig cfg;
     cfg.numCores = cores;
-    cfg.mesh.width = 4;
-    cfg.mesh.height = 4;
     cfg.maxCycles = 5'000'000;
     cfg.setMode(CommitMode::InOrder);
     return cfg;

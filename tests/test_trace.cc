@@ -44,8 +44,6 @@ smallConfig(int cores)
 {
     SystemConfig cfg;
     cfg.numCores = cores;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = (cores + 1) / 2;
     cfg.setMode(CommitMode::OooWB);
     return cfg;
 }

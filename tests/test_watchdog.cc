@@ -28,8 +28,6 @@ wedgeConfig(const std::string &fault_spec)
 {
     SystemConfig cfg;
     cfg.numCores = 4;
-    cfg.mesh.width = 2;
-    cfg.mesh.height = 2;
     cfg.setMode(CommitMode::OooWB);
     cfg.watchdogCycles = 40'000;
     cfg.txnWarnCycles = 5'000;

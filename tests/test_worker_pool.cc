@@ -38,6 +38,7 @@
 #include "campaign/job_journal.hh"
 #include "campaign/result_cache.hh"
 #include "campaign/worker_pool.hh"
+#include "campaign_fixtures.hh"
 
 using namespace wb;
 
@@ -113,24 +114,6 @@ expectAggregatesEqual(const CampaignSpec &spec,
     writeCampaignCsv(ca, a);
     writeCampaignCsv(cb, b);
     EXPECT_EQ(ca.str(), cb.str());
-}
-
-/** Read a telemetry sidecar, dropping the wall-clock header key —
- *  the one field deliberately outside the determinism contract. */
-std::string
-sidecarNoWall(const std::string &path)
-{
-    std::ifstream f(path);
-    std::stringstream ss;
-    ss << f.rdbuf();
-    std::string s = ss.str();
-    const auto b = s.find("\"wall\":{");
-    if (b != std::string::npos) {
-        const auto e = s.find("},", b);
-        if (e != std::string::npos)
-            s.erase(b, e - b + 2);
-    }
-    return s;
 }
 
 bool

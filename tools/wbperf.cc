@@ -35,6 +35,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -45,6 +46,7 @@
 #include "coherence/messages.hh"
 #include "network/mesh.hh"
 #include "sim/event_queue.hh"
+#include "sim/parse.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "system/json_writer.hh"
@@ -225,6 +227,19 @@ microCohMsgAlloc()
 
 std::string fpString(std::uint64_t h);
 
+/** The paper's 16-core machine (bench/bench_common.hh paperConfig)
+ *  in OooWB mode, checker off. */
+SystemConfig
+paperConfig(CoreClass cls)
+{
+    SystemConfig cfg;
+    cfg.core = makeCoreConfig(cls);
+    cfg.checker = false;
+    cfg.maxCycles = 400'000'000;
+    cfg.setMode(CommitMode::OooWB);
+    return cfg;
+}
+
 /** Metrics guard: the same small benchmark with the metrics
  *  registry + snapshot streaming on vs off must simulate (and
  *  fingerprint) identically — the telemetry layer observes, never
@@ -238,12 +253,7 @@ microMetrics(double scale)
     CellResult c{"micro.metrics", "micro"};
     const std::string bench = "fft";
     Workload wl = makeBenchmark(bench, 16, scale);
-    SystemConfig cfg;
-    cfg.numCores = 16;
-    cfg.core = makeCoreConfig(CoreClass::SLM);
-    cfg.checker = false;
-    cfg.maxCycles = 400'000'000;
-    cfg.setMode(CommitMode::OooWB);
+    SystemConfig cfg = paperConfig(CoreClass::SLM);
 
     std::uint64_t fpOff = 0;
     {
@@ -281,20 +291,14 @@ microMetrics(double scale)
     return c;
 }
 
-/** One fig8 cell: a benchmark profile on the paper's 16-core
- *  machine (bench/bench_common.hh paperConfig) in OooWB mode. */
+/** One fig8 cell: a benchmark profile on paperConfig(). */
 CellResult
 figCell(const std::string &name, CoreClass cls, double scale,
         int shards)
 {
     CellResult c{"fig8." + name + "." + coreClassName(cls), "fig"};
     Workload wl = makeBenchmark(name, 16, scale);
-    SystemConfig cfg;
-    cfg.numCores = 16;
-    cfg.core = makeCoreConfig(cls);
-    cfg.checker = false;
-    cfg.maxCycles = 400'000'000;
-    cfg.setMode(CommitMode::OooWB);
+    SystemConfig cfg = paperConfig(cls);
     // Sharding must never move a fingerprint — the cell name stays
     // the same on purpose, so a --check against a single-shard
     // baseline is exactly the determinism gate from docs/PARALLEL.md.
@@ -428,7 +432,8 @@ loadBaseline(const std::string &path, Baseline &out)
     }
     const std::size_t tk = s.find("\"totalWallSeconds\":");
     if (tk != std::string::npos)
-        out.totalWallSeconds = std::atof(s.c_str() + tk + 19);
+        out.totalWallSeconds =
+            std::strtod(s.c_str() + tk + 19, nullptr);
     return !out.fingerprints.empty();
 }
 
@@ -471,6 +476,12 @@ main(int argc, char **argv)
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
+        // Strict flag values: a malformed one is a usage error.
+        auto ok = [](const std::string &bad) {
+            if (!bad.empty())
+                std::fprintf(stderr, "%s\n", bad.c_str());
+            return bad.empty();
+        };
         if (a == "--out") {
             const char *v = next();
             if (!v)
@@ -481,23 +492,20 @@ main(int argc, char **argv)
             if (!v)
                 return usage(argv[0]);
             checkPath = v;
-        } else if (a == "--max-regress") {
+        } else if (a == "--max-regress" || a == "--scale") {
             const char *v = next();
-            if (!v)
+            if (!v ||
+                !ok(parseReal(a, v, 0,
+                              std::numeric_limits<double>::max(),
+                              a == "--scale" ? scale : maxRegress)))
                 return usage(argv[0]);
-            maxRegress = std::atof(v);
-        } else if (a == "--scale") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            scale = std::atof(v);
         } else if (a == "--shards") {
+            SystemConfig cell = paperConfig(CoreClass::SLM);
             const char *v = next();
-            if (!v)
+            if (!v || !ok(parseCount(a, v, cell.shards)) ||
+                !ok(cell.validate()))
                 return usage(argv[0]);
-            shards = std::atoi(v);
-            if (shards < 1 || shards > 16)
-                return usage(argv[0]);
+            shards = cell.shards;
         } else if (a == "--micro-only") {
             microOnly = true;
         } else if (a == "--fig-only") {

@@ -20,14 +20,17 @@
  *   64 usage error
  */
 
-#include <cctype>
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include <unistd.h>
@@ -35,6 +38,7 @@
 #include "obs/perfetto.hh"
 #include "obs/timeline.hh"
 #include "sim/log.hh"
+#include "sim/parse.hh"
 #include "snapshot/system_state.hh"
 #include "system/crash_report.hh"
 #include "system/report.hh"
@@ -132,105 +136,22 @@ usage()
         "            64 usage error\n");
 }
 
-bool
-parseMode(const std::string &s, CommitMode &mode)
-{
-    if (s == "in-order")
-        mode = CommitMode::InOrder;
-    else if (s == "ooo-safe")
-        mode = CommitMode::OooSafe;
-    else if (s == "ooo-wb" || s == "ooo-writersblock")
-        mode = CommitMode::OooWB;
-    else if (s == "ooo-unsafe")
-        mode = CommitMode::OooUnsafe;
-    else
-        return false;
-    return true;
-}
-
-/**
- * Strict bounded count parse for flags like --cores/--iters/--ldt.
- * The historical std::atoi calls silently read "16x" as 16 and
- * "huge" as 0; here the whole string must be a decimal/hex number
- * inside [lo, hi]. On failure, prints a usage-taxonomy complaint
- * naming the flag and the specific defect (not a number, trailing
- * garbage, out of range) — callers exit 64.
- */
-bool
-parseCount(const char *flag, const std::string &s, long long lo,
-           long long hi, long long &out)
-{
-    if (s.empty() || s[0] == '-' || s[0] == '+' ||
-        std::isspace(static_cast<unsigned char>(s[0]))) {
-        std::fprintf(stderr,
-                     "%s: '%s' is not an unsigned number\n", flag,
-                     s.c_str());
-        return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-    if (end == s.c_str()) {
-        std::fprintf(stderr, "%s: '%s' is not a number\n", flag,
-                     s.c_str());
-        return false;
-    }
-    if (*end != '\0') {
-        std::fprintf(stderr,
-                     "%s: trailing garbage '%s' after number in "
-                     "'%s'\n",
-                     flag, end, s.c_str());
-        return false;
-    }
-    if (errno == ERANGE || v > static_cast<unsigned long long>(hi) ||
-        static_cast<long long>(v) < lo) {
-        std::fprintf(stderr,
-                     "%s: %s out of range [%lld, %lld]\n", flag,
-                     s.c_str(), lo, hi);
-        return false;
-    }
-    out = static_cast<long long>(v);
-    return true;
-}
-
-/** Strict decimal/hex period parse: the whole string, >= 1. */
-bool
-parsePeriod(const std::string &s, Tick &out)
-{
-    if (s.empty() || s[0] == '-' || s[0] == '+')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-    if (errno != 0 || end != s.c_str() + s.size() || v == 0)
-        return false;
-    out = Tick(v);
-    return true;
-}
-
 /**
  * Split and validate a "FILE,PERIOD" sink spec (--timeline,
  * --metrics-stream). Rejects a missing comma, an empty path, and a
- * zero/non-numeric/trailing-garbage period; on failure @p err holds
- * the complaint for a usage error (exit 64).
+ * zero/non-numeric/trailing-garbage period. @return "" on success,
+ * else the complaint for a usage error (exit 64).
  */
-bool
-parseSinkSpec(const char *flag, const std::string &v,
-              std::string &path, Tick &period, std::string &err)
+std::string
+parseSinkSpec(const std::string &flag, const std::string &v,
+              std::string &path, Tick &period)
 {
     const auto comma = v.rfind(',');
-    if (comma == std::string::npos || comma == 0) {
-        err = std::string(flag) + " needs FILE,PERIOD";
-        return false;
-    }
+    if (comma == std::string::npos || comma == 0)
+        return flag + " needs FILE,PERIOD";
     path = v.substr(0, comma);
-    if (!parsePeriod(v.substr(comma + 1), period)) {
-        err = std::string(flag) +
-              " PERIOD must be a number >= 1, got '" +
-              v.substr(comma + 1) + "'";
-        return false;
-    }
-    return true;
+    return parseCount(flag + " PERIOD", v.substr(comma + 1), period,
+                      1);
 }
 
 /**
@@ -244,13 +165,11 @@ bool
 probeSinkWritable(const std::string &spec, std::string &err)
 {
     if (spec.rfind("fd:", 0) == 0) {
-        char *end = nullptr;
-        const long fd = std::strtol(spec.c_str() + 3, &end, 10);
-        if (end == spec.c_str() + 3 || *end != '\0' || fd < 0) {
-            err = "bad descriptor in '" + spec + "'";
+        int fd = 0;
+        err = parseCount(spec, spec.substr(3), fd);
+        if (!err.empty())
             return false;
-        }
-        const int d = ::dup(static_cast<int>(fd));
+        const int d = ::dup(fd);
         if (d < 0) {
             err = spec + ": " + std::strerror(errno);
             return false;
@@ -267,48 +186,25 @@ probeSinkWritable(const std::string &spec, std::string &err)
     return true;
 }
 
-bool
-parseClass(const std::string &s, CoreClass &cls)
-{
-    if (s == "SLM" || s == "slm")
-        cls = CoreClass::SLM;
-    else if (s == "NHM" || s == "nhm")
-        cls = CoreClass::NHM;
-    else if (s == "HSW" || s == "hsw")
-        cls = CoreClass::HSW;
-    else
-        return false;
-    return true;
-}
-
-void
+/** Enable a comma list of trace flags. @return "" or the complaint
+ *  for an unknown flag (a usage error). */
+std::string
 enableTrace(const std::string &flags)
 {
-    std::size_t pos = 0;
-    while (pos < flags.size()) {
-        std::size_t comma = flags.find(',', pos);
-        if (comma == std::string::npos)
-            comma = flags.size();
-        const std::string f = flags.substr(pos, comma - pos);
-        if (f == "core")
-            Trace::enable(LogFlag::Core);
-        else if (f == "cache")
-            Trace::enable(LogFlag::Cache);
-        else if (f == "dir")
-            Trace::enable(LogFlag::Directory);
-        else if (f == "net")
-            Trace::enable(LogFlag::Network);
-        else if (f == "lockdown")
-            Trace::enable(LogFlag::Lockdown);
-        else if (f == "checker")
-            Trace::enable(LogFlag::Checker);
-        else if (f == "commit")
-            Trace::enable(LogFlag::Commit);
-        else
-            std::fprintf(stderr, "unknown trace flag '%s'\n",
-                         f.c_str());
-        pos = comma + 1;
+    static const std::map<std::string, LogFlag> names{
+        {"core", LogFlag::Core},         {"cache", LogFlag::Cache},
+        {"dir", LogFlag::Directory},     {"net", LogFlag::Network},
+        {"lockdown", LogFlag::Lockdown}, {"checker", LogFlag::Checker},
+        {"commit", LogFlag::Commit},
+    };
+    std::istringstream in(flags);
+    for (std::string f; std::getline(in, f, ',');) {
+        const auto it = names.find(f);
+        if (it == names.end())
+            return "--trace: unknown trace flag '" + f + "'";
+        Trace::enable(it->second);
     }
+    return "";
 }
 
 void
@@ -321,45 +217,10 @@ listWorkloads()
     for (const auto &n : parsecNames())
         std::printf("%-14s %-9s %s\n", n.c_str(), "builtin",
                     "PARSEC 3.0 profile");
-    static const struct
-    {
-        const char *name;
-        const char *note;
-    } litmus[] = {
-        {"table1", "paper Table 1: ld-ld reordering witness"},
-        {"table3", "paper Table 3: fine-grain sharing"},
-        {"sb", "store buffering (Dekker)"},
-        {"sb-fence", "store buffering with fences"},
-        {"lb", "load buffering"},
-        {"corr", "coherent read-read"},
-        {"iriw", "independent reads, independent writes"},
-    };
-    for (const auto &l : litmus)
-        std::printf("%-14s %-9s %s\n", l.name, "litmus", l.note);
+    for (const LitmusEntry &l : litmusCatalog())
+        std::printf("%-14s %-9s %s\n", l.cliName, "litmus", l.note);
     std::printf("%-14s %-9s %s\n", "trace=FILE", "trace",
                 "replay a recorded .wbt trace (docs/TRACES.md)");
-}
-
-int
-litmusKindOf(const std::string &name, LitmusKind &kind)
-{
-    if (name == "table1")
-        kind = LitmusKind::Table1;
-    else if (name == "table3")
-        kind = LitmusKind::Table3;
-    else if (name == "sb")
-        kind = LitmusKind::StoreBuffer;
-    else if (name == "sb-fence")
-        kind = LitmusKind::StoreBufferFenced;
-    else if (name == "corr")
-        kind = LitmusKind::CoRR;
-    else if (name == "lb")
-        kind = LitmusKind::LoadBuffer;
-    else if (name == "iriw")
-        kind = LitmusKind::Iriw;
-    else
-        return 0;
-    return 1;
 }
 
 } // namespace
@@ -372,28 +233,23 @@ main(int argc, char **argv)
     std::string workload = "ocean_ncp";
     CommitMode mode = CommitMode::OooWB;
     CoreClass cls = CoreClass::SLM;
-    int cores = 16;
+    // Machine flags land in cfg directly; the core preset (--class,
+    // --mode, --ldt, --in-order-issue) is applied once all are read.
+    SystemConfig cfg;
+    cfg.ideal.jitter = 10;
     bool cores_set = false;
-    int shards = 1;
     double scale = 0.5;
     int iters = 2000;
-    NetworkKind network = NetworkKind::Mesh;
-    Tick jitter = 10;
     std::uint64_t seed = 0;
-    bool checker = true;
-    bool silent_evictions = true;
     bool in_order_issue = false;
     int ldt = 32;
     bool dump_stats = false;
     std::string json_path;
     std::string faults_spec;
     std::string crash_dump;
-    std::size_t flight_recorder = 0;
     std::string trace_out;
     std::string timeline_path;
-    Tick timeline_period = 0;
     std::string metrics_stream;
-    Tick metrics_period = 0;
     std::string metrics_expo;
     Tick checkpoint_at = 0;
     std::string checkpoint_path = "checkpoint.wbsnap";
@@ -409,57 +265,55 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Strict flag values: a malformed one is a usage error.
+        const std::string flag = a.substr(0, a.find('='));
+        auto value = [&] { return a.substr(flag.size() + 1); };
+        auto check = [](const std::string &bad) {
+            if (!bad.empty()) {
+                std::fprintf(stderr, "%s\n", bad.c_str());
+                std::exit(64);
+            }
+        };
+        auto count = [&](const std::string &v, auto &field,
+                         std::uint64_t lo = 0) {
+            check(parseCount(flag, v, field, lo));
+        };
+        auto known = [&](bool ok) {
+            check(ok ? "" : a + ": unknown value '" + argv[i] + "'");
+        };
         if (a == "--workload")
             workload = next();
-        else if (a == "--mode") {
-            if (!parseMode(next(), mode)) {
-                usage();
-                return 64;
-            }
-        } else if (a == "--class") {
-            if (!parseClass(next(), cls)) {
-                usage();
-                return 64;
-            }
-        } else if (a == "--cores") {
-            long long v = 0;
-            if (!parseCount("--cores", next(), 1, 4096, v))
-                return 64;
-            cores = int(v);
+        else if (a == "--mode")
+            known(parseCommitMode(next(), mode));
+        else if (a == "--class")
+            known(parseCoreClass(next(), cls));
+        else if (a == "--cores") {
+            count(next(), cfg.numCores);
             cores_set = true;
         } else if (a == "--scale")
-            scale = std::atof(next());
-        else if (a == "--iters") {
-            long long v = 0;
-            if (!parseCount("--iters", next(), 1, 100'000'000, v))
-                return 64;
-            iters = int(v);
-        } else if (a == "--shards") {
-            long long v = 0;
-            if (!parseCount("--shards", next(), 1, 4096, v))
-                return 64;
-            shards = int(v);
-        } else if (a == "--network") {
-            const std::string n = next();
-            network = n == "ideal" ? NetworkKind::Ideal
-                                   : NetworkKind::Mesh;
-        } else if (a == "--jitter")
-            jitter = Tick(std::atoll(next()));
+            check(parseReal(flag, next(), 0,
+                            std::numeric_limits<double>::max(),
+                            scale));
+        else if (a == "--iters")
+            check(parseCount(flag, next(), iters, 1, 100'000'000));
+        else if (a == "--shards")
+            count(next(), cfg.shards);
+        else if (a == "--network")
+            known(parseNetworkKind(next(), cfg.network));
+        else if (a == "--jitter")
+            count(next(), cfg.ideal.jitter);
         else if (a == "--seed")
-            seed = std::strtoull(next(), nullptr, 0);
+            count(next(), seed);
         else if (a == "--no-checker")
-            checker = false;
+            cfg.checker = false;
         else if (a == "--non-silent")
-            silent_evictions = false;
+            cfg.mem.silentSharedEvictions = false;
         else if (a == "--in-order-issue")
             in_order_issue = true;
-        else if (a == "--ldt") {
-            long long v = 0;
-            if (!parseCount("--ldt", next(), 1, 1 << 20, v))
-                return 64;
-            ldt = int(v);
-        } else if (a == "--trace")
-            enableTrace(next());
+        else if (a == "--ldt")
+            check(parseCount(flag, next(), ldt, 1, 1 << 20));
+        else if (a == "--trace")
+            check(enableTrace(next()));
         else if (a == "--faults")
             faults_spec = next();
         else if (a == "--crash-dump")
@@ -467,59 +321,22 @@ main(int argc, char **argv)
         else if (a == "--dump-stats")
             dump_stats = true;
         else if (a == "--flight-recorder")
-            flight_recorder = 65536;
-        else if (a.rfind("--flight-recorder=", 0) == 0) {
-            flight_recorder = std::strtoull(
-                a.c_str() + std::strlen("--flight-recorder="),
-                nullptr, 0);
-            if (flight_recorder == 0) {
-                std::fprintf(stderr,
-                             "--flight-recorder needs N >= 1\n");
-                return 64;
-            }
-        } else if (a == "--trace-out")
+            cfg.obs.flightRecorder = 65536;
+        else if (flag == "--flight-recorder")
+            count(value(), cfg.obs.flightRecorder, 1);
+        else if (a == "--trace-out")
             trace_out = next();
-        else if (a == "--timeline" ||
-                 a.rfind("--timeline=", 0) == 0) {
-            const std::string v =
-                a == "--timeline"
-                    ? next()
-                    : a.substr(std::strlen("--timeline="));
-            std::string err;
-            if (!parseSinkSpec("--timeline", v, timeline_path,
-                               timeline_period, err)) {
-                std::fprintf(stderr, "%s\n", err.c_str());
-                return 64;
-            }
-        } else if (a == "--metrics-stream" ||
-                   a.rfind("--metrics-stream=", 0) == 0) {
-            const std::string v =
-                a == "--metrics-stream"
-                    ? next()
-                    : a.substr(std::strlen("--metrics-stream="));
-            std::string err;
-            if (!parseSinkSpec("--metrics-stream", v,
-                               metrics_stream, metrics_period,
-                               err)) {
-                std::fprintf(stderr, "%s\n", err.c_str());
-                return 64;
-            }
-        } else if (a == "--metrics-expo")
+        else if (flag == "--timeline")
+            check(parseSinkSpec(flag, a == flag ? next() : value(),
+                                timeline_path, cfg.obs.timelinePeriod));
+        else if (flag == "--metrics-stream")
+            check(parseSinkSpec(flag, a == flag ? next() : value(),
+                                metrics_stream, cfg.obs.metricsPeriod));
+        else if (a == "--metrics-expo")
             metrics_expo = next();
-        else if (a == "--checkpoint-at" ||
-                   a.rfind("--checkpoint-at=", 0) == 0) {
-            const std::string v =
-                a == "--checkpoint-at"
-                    ? next()
-                    : a.substr(std::strlen("--checkpoint-at="));
-            checkpoint_at = Tick(std::strtoull(v.c_str(),
-                                               nullptr, 0));
-            if (checkpoint_at == 0) {
-                std::fprintf(stderr,
-                             "--checkpoint-at needs TICK >= 1\n");
-                return 64;
-            }
-        } else if (a == "--checkpoint")
+        else if (flag == "--checkpoint-at")
+            count(a == flag ? next() : value(), checkpoint_at, 1);
+        else if (a == "--checkpoint")
             checkpoint_path = next();
         else if (a == "--restore")
             restore_path = next();
@@ -536,6 +353,22 @@ main(int argc, char **argv)
         }
     }
 
+    // Corrupt or mismatched input files (trace, snapshot) exit 2,
+    // with a crash report when --crash-dump asks for one.
+    auto badInput = [&](const char *what, const char *kind,
+                        const std::string &detail,
+                        System *sys = nullptr) {
+        std::fprintf(stderr, "%s failed: %s\n", what, detail.c_str());
+        if (!crash_dump.empty()) {
+            std::ofstream dump(crash_dump);
+            if (dump && sys)
+                writeCrashReport(dump, *sys, kind, detail);
+            else if (dump)
+                writeLoadFailureReport(dump, kind, detail);
+        }
+        return 2;
+    };
+
     // Build the workload. Trace provenance (source tag + generation
     // seed) rides along so --record-trace writes faithful metadata —
     // and a replayed trace re-records byte-identically.
@@ -544,7 +377,7 @@ main(int argc, char **argv)
     TraceFile replay_trace;
     const bool is_trace = workload.rfind("trace=", 0) == 0;
     const bool is_litmus =
-        !is_trace && litmusKindOf(workload, lk) != 0;
+        !is_trace && parseLitmusKind(workload, lk);
     std::string wl_source;
     std::uint64_t wl_seed = 0;
     if (is_trace) {
@@ -555,15 +388,7 @@ main(int argc, char **argv)
         try {
             replay_trace = TraceFile::load(path);
         } catch (const TraceError &e) {
-            std::fprintf(stderr, "trace load failed: %s\n",
-                         e.what());
-            if (!crash_dump.empty()) {
-                std::ofstream dump(crash_dump);
-                if (dump)
-                    writeLoadFailureReport(dump, "trace-corrupt",
-                                           e.what());
-            }
-            return 2;
+            return badInput("trace load", "trace-corrupt", e.what());
         }
         wl = traceWorkload(replay_trace);
         wl_source = replay_trace.source;
@@ -573,67 +398,56 @@ main(int argc, char **argv)
         // incompatible build whose fingerprint encoding differs.
         Workload origin = wl;
         origin.traceFingerprint = 0;
-        if (workloadFingerprint(origin) != replay_trace.workloadFp) {
-            const std::string detail =
-                "trace header fingerprint does not match the "
-                "embedded programs — recorded by an incompatible "
-                "build";
-            std::fprintf(stderr, "trace load failed: %s\n",
-                         detail.c_str());
-            if (!crash_dump.empty()) {
-                std::ofstream dump(crash_dump);
-                if (dump)
-                    writeLoadFailureReport(dump, "trace-mismatch",
-                                           detail);
-            }
-            return 2;
-        }
+        if (workloadFingerprint(origin) != replay_trace.workloadFp)
+            return badInput("trace load", "trace-mismatch",
+                            "trace header fingerprint does not match "
+                            "the embedded programs — recorded by an "
+                            "incompatible build");
         if (!cores_set)
-            cores = int(replay_trace.threads.size());
-        if (cores < int(replay_trace.threads.size())) {
-            std::fprintf(stderr,
-                         "--cores %d is fewer than the trace's %zu "
-                         "thread(s)\n",
-                         cores, replay_trace.threads.size());
-            return 64;
-        }
+            cfg.numCores = int(replay_trace.threads.size());
     } else if (is_litmus) {
         wl = makeLitmus(lk, iters);
         wl_source = "litmus";
-        if (!cores_set && cores == 16)
-            cores = 4;
-    } else {
-        SyntheticParams p = benchmarkProfile(workload, scale);
-        if (seed)
-            p.seed = seed;
-        wl = makeSynthetic(p, cores);
-        wl_source = "builtin";
-        wl_seed = p.seed;
+        if (!cores_set)
+            cfg.numCores = 4;
+    } else if (std::count(benchmarkNames().begin(),
+                          benchmarkNames().end(), workload) == 0) {
+        std::fprintf(stderr, "unknown workload '%s' (see --list)\n",
+                     workload.c_str());
+        return 64;
     }
 
-    // Sharded execution trades the observability/fault layers for
-    // parallel speed (docs/PARALLEL.md): anything that logs, samples
-    // or snapshots mid-run would need its own cross-shard ordering
-    // story, so it is a usage error alongside --shards > 1.
-    if (shards > 1) {
-        if (shards > cores) {
-            std::fprintf(stderr,
-                         "--shards %d exceeds --cores %d (one tile "
-                         "per shard minimum)\n",
-                         shards, cores);
+    cfg.core = makeCoreConfig(cls);
+    cfg.core.ldtSize = ldt;
+    cfg.core.inOrderIssue = in_order_issue;
+    cfg.setMode(mode);
+    if (!faults_spec.empty()) {
+        std::string err;
+        if (!parseFaultSpec(faults_spec, cfg.faults, err)) {
+            std::fprintf(stderr, "bad --faults spec: %s\n",
+                         err.c_str());
             return 64;
         }
+    }
+    if (!trace_out.empty() && cfg.obs.flightRecorder == 0)
+        cfg.obs.flightRecorder = 65536;
+    if (!metrics_expo.empty())
+        cfg.obs.metrics = true; // registry without a stream
+
+    const std::string bad = cfg.validate();
+    if (!bad.empty()) {
+        std::fprintf(stderr, "invalid config: %s\n", bad.c_str());
+        return 64;
+    }
+    // Sharded runs also rule out the driver features that snapshot,
+    // record or trace mid-run (docs/PARALLEL.md); the SystemConfig
+    // layers are checked by validate() above.
+    if (cfg.shards > 1) {
         const struct
         {
             bool set;
             const char *flag;
         } incompatible[] = {
-            {!faults_spec.empty(), "--faults"},
-            {flight_recorder != 0, "--flight-recorder"},
-            {!trace_out.empty(), "--trace-out"},
-            {timeline_period != 0, "--timeline"},
-            {!metrics_stream.empty(), "--metrics-stream"},
-            {!metrics_expo.empty(), "--metrics-expo"},
             {checkpoint_at != 0, "--checkpoint-at"},
             {!restore_path.empty(), "--restore"},
             {!record_trace.empty(), "--record-trace"},
@@ -650,44 +464,21 @@ main(int argc, char **argv)
         }
     }
 
-    SystemConfig cfg;
-    cfg.numCores = cores;
-    cfg.shards = shards;
-    cfg.core = makeCoreConfig(cls);
-    cfg.core.ldtSize = ldt;
-    cfg.core.inOrderIssue = in_order_issue;
-    cfg.network = network;
-    cfg.ideal.jitter = jitter;
-    cfg.checker = checker;
-    cfg.mem.silentSharedEvictions = silent_evictions;
-    if (network == NetworkKind::Mesh) {
-        // Smallest mesh that fits.
-        int w = 1;
-        while (w * w < cores)
-            ++w;
-        cfg.mesh.width = w;
-        cfg.mesh.height = (cores + w - 1) / w;
+    if (!is_trace && !is_litmus) {
+        SyntheticParams p = benchmarkProfile(workload, scale);
+        if (seed)
+            p.seed = seed;
+        wl = makeSynthetic(p, cfg.numCores);
+        wl_source = "builtin";
+        wl_seed = p.seed;
     }
-    cfg.setMode(mode);
-    if (mode == CommitMode::OooUnsafe) {
-        cfg.core.lockdown = false;
-        cfg.mem.writersBlock = false;
+    if (int(wl.threads.size()) > cfg.numCores) {
+        std::fprintf(stderr,
+                     "workload %s has %zu threads but --cores is %d\n",
+                     workload.c_str(), wl.threads.size(),
+                     cfg.numCores);
+        return 64;
     }
-    if (!faults_spec.empty()) {
-        std::string err;
-        if (!parseFaultSpec(faults_spec, cfg.faults, err)) {
-            std::fprintf(stderr, "bad --faults spec: %s\n",
-                         err.c_str());
-            return 64;
-        }
-    }
-    if (!trace_out.empty() && flight_recorder == 0)
-        flight_recorder = 65536;
-    cfg.obs.flightRecorder = flight_recorder;
-    cfg.obs.timelinePeriod = timeline_period;
-    cfg.obs.metricsPeriod = metrics_period;
-    if (!metrics_expo.empty())
-        cfg.obs.metrics = true; // registry without a stream
 
     // Reject unwritable sinks before burning simulation time.
     for (const std::string &sink :
@@ -732,35 +523,21 @@ main(int argc, char **argv)
         try {
             restore_snap = SnapshotFile::load(restore_path);
         } catch (const SnapshotError &e) {
-            std::fprintf(stderr, "restore failed: %s\n", e.what());
-            if (!crash_dump.empty()) {
-                std::ofstream dump(crash_dump);
-                if (dump)
-                    writeCrashReport(dump, sys, "snapshot-corrupt",
-                                     e.what());
-            }
-            return 2;
+            return badInput("restore", "snapshot-corrupt", e.what(),
+                            &sys);
         }
         // Compare against the System's own config copy: the
         // constructor normalises derived fields (bank count, mesh
         // shape), and the snapshot records the normalised form.
         if (restore_snap.configFingerprint !=
                 configFingerprint(sys.config()) ||
-            restore_snap.workloadFingerprint != wl_fp) {
-            const std::string detail =
-                "snapshot was taken under a different config or "
-                "workload (fingerprint mismatch) — pass the same "
-                "command-line options as the checkpointing run";
-            std::fprintf(stderr, "restore failed: %s\n",
-                         detail.c_str());
-            if (!crash_dump.empty()) {
-                std::ofstream dump(crash_dump);
-                if (dump)
-                    writeCrashReport(dump, sys,
-                                     "snapshot-mismatch", detail);
-            }
-            return 2;
-        }
+            restore_snap.workloadFingerprint != wl_fp)
+            return badInput("restore", "snapshot-mismatch",
+                            "snapshot was taken under a different "
+                            "config or workload (fingerprint "
+                            "mismatch) — pass the same command-line "
+                            "options as the checkpointing run",
+                            &sys);
         if (checkpoint_at && checkpoint_at <= restore_snap.tick) {
             std::fprintf(stderr, "--checkpoint-at must be later "
                                  "than the restored tick\n");
@@ -889,7 +666,7 @@ main(int argc, char **argv)
     std::printf("%-24s %s%s%s\n", "status", cr.verdict.c_str(),
                 cr.detail.empty() ? "" : ": ",
                 cr.detail.c_str());
-    if (checker)
+    if (cfg.checker)
         std::printf("%-24s %s (%zu violations)\n", "tso checker",
                     r.tsoViolations == 0 ? "clean" : "VIOLATED",
                     r.tsoViolations);

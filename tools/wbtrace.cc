@@ -26,10 +26,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 
 #include "isa/instr.hh"
+#include "sim/parse.hh"
+#include "system/system.hh"
 #include "trace/trace_recorder.hh"
 #include "trace/trace_workload.hh"
 #include "workload/benchmarks.hh"
@@ -63,28 +66,6 @@ usage()
 }
 
 int
-litmusKindOf(const std::string &name, LitmusKind &kind)
-{
-    if (name == "table1")
-        kind = LitmusKind::Table1;
-    else if (name == "table3")
-        kind = LitmusKind::Table3;
-    else if (name == "sb")
-        kind = LitmusKind::StoreBuffer;
-    else if (name == "sb-fence")
-        kind = LitmusKind::StoreBufferFenced;
-    else if (name == "corr")
-        kind = LitmusKind::CoRR;
-    else if (name == "lb")
-        kind = LitmusKind::LoadBuffer;
-    else if (name == "iriw")
-        kind = LitmusKind::Iriw;
-    else
-        return 0;
-    return 1;
-}
-
-int
 cmdRecord(int argc, char **argv)
 {
     std::string workload;
@@ -103,18 +84,27 @@ cmdRecord(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Strict flag values: a malformed one is a usage error.
+        auto check = [](const std::string &bad) {
+            if (!bad.empty()) {
+                std::fprintf(stderr, "%s\n", bad.c_str());
+                std::exit(64);
+            }
+        };
         if (a == "--workload")
             workload = next();
         else if (a == "-o" || a == "--out")
             out = next();
         else if (a == "--seed")
-            seed = std::strtoull(next(), nullptr, 0);
+            check(parseCount(a, next(), seed));
         else if (a == "--cores")
-            cores = std::atoi(next());
+            check(parseCount(a, next(), cores));
         else if (a == "--scale")
-            scale = std::atof(next());
+            check(parseReal(a, next(), 0,
+                            std::numeric_limits<double>::max(),
+                            scale));
         else if (a == "--iters")
-            iters = std::atoi(next());
+            check(parseCount(a, next(), iters, 1));
         else {
             usage();
             return 64;
@@ -125,13 +115,28 @@ cmdRecord(int argc, char **argv)
         return 64;
     }
 
+    // The trace must be replayable: its thread count has to be a
+    // core count the detailed model accepts.
+    SystemConfig replay;
+    replay.numCores = cores;
+    const std::string bad = replay.validate();
+    if (!bad.empty()) {
+        std::fprintf(stderr, "--cores: %s\n", bad.c_str());
+        return 64;
+    }
+
     Workload wl;
     std::string source;
     std::uint64_t wl_seed = seed;
     LitmusKind lk{};
-    if (litmusKindOf(workload, lk)) {
+    if (parseLitmusKind(workload, lk)) {
         wl = makeLitmus(lk, iters);
         source = "litmus";
+    } else if (std::count(benchmarkNames().begin(),
+                          benchmarkNames().end(), workload) == 0) {
+        std::fprintf(stderr, "unknown workload '%s'\n",
+                     workload.c_str());
+        return 64;
     } else {
         SyntheticParams p = benchmarkProfile(workload, scale);
         if (seed)
