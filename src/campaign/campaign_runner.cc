@@ -48,21 +48,30 @@ executeOnce(const CampaignSpec &spec, const JobSpec &job,
 
     // Telemetry: route every snapshot line through the hook, tagged
     // with the job index. The wall stamp lives in a separate header
-    // key so the tick-keyed body stays seed-deterministic.
-    if (telemetry && telemetry->enabled() && sys.metricsStream()) {
-        sys.metricsStream()->stampWall(std::uint64_t(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::system_clock::now().time_since_epoch())
-                .count()));
-        if (telemetry->emit) {
-            const std::size_t index = job.index;
-            const auto &fn = telemetry->emit;
-            sys.metricsStream()->setCallback(
-                [index, &fn](const MetricsSummary &sum,
-                             const std::string &line) {
-                    fn(index, sum, line);
-                });
-        }
+    // key so the tick-keyed body stays seed-deterministic. With
+    // --out, the same callback keeps the job's timeline.
+    std::vector<MetricsSummary> timeline;
+    if (MetricsStreamer *ms = sys.metricsStream()) {
+        const bool tele = telemetry && telemetry->enabled();
+        if (tele)
+            ms->stampWall(std::uint64_t(
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    std::chrono::system_clock::now()
+                        .time_since_epoch())
+                    .count()));
+        const auto *fn = tele && telemetry->emit ? &telemetry->emit
+                                                 : nullptr;
+        const auto keep = out_dir.empty()
+                              ? MetricsStreamer::FrameFn()
+                              : ms->timelineSink(timeline);
+        ms->setCallback([=, index = job.index](
+                            const MetricsSummary &sum,
+                            const std::string &line) {
+            if (fn)
+                (*fn)(index, sum, line);
+            if (keep)
+                keep(sum, line);
+        });
     }
 
     // From here on runClassified() owns fault handling: panics and
@@ -102,13 +111,13 @@ executeOnce(const CampaignSpec &spec, const JobSpec &job,
                              std::to_string(job.index) + ".json");
             if (tf)
                 writePerfettoTrace(tf, *fr, cfg.numCores,
-                                   cfg.numCores, sys.timeline());
+                                   cfg.numCores, timeline);
         }
-        if (const TimelineSampler *tl = sys.timeline()) {
+        if (sys.metricsStream()) {
             std::ofstream cf(out_dir + "/timeline-job" +
                              std::to_string(job.index) + ".csv");
             if (cf)
-                tl->writeCsv(cf);
+                writeTimelineCsv(cf, timeline);
         }
     }
 

@@ -288,7 +288,8 @@ parseCampaignSpec(std::istream &in, CampaignSpec &out,
     count("retransmit-base", out.recovery.retransmitBaseCycles);
     count("retransmit-budget", out.recovery.retransmitBudget);
     count("flight-recorder", out.obs.flightRecorder);
-    count("timeline-period", out.obs.timelinePeriod);
+    Tick timeline_period = 0; // folded into obs.metricsPeriod below
+    count("timeline-period", timeline_period);
     count("metrics-period", out.obs.metricsPeriod);
     const auto flag = [&scalar](const char *key, bool &field) {
         scalar[key] = [&field](const std::string &v) -> std::string {
@@ -373,6 +374,15 @@ parseCampaignSpec(std::istream &in, CampaignSpec &out,
             return fail("unknown key '" + key + "'");
         }
     }
+    // The timeline is a projection of the one metrics sampler.
+    if (timeline_period && out.obs.metricsPeriod &&
+        timeline_period != out.obs.metricsPeriod) {
+        err = "timeline-period and metrics-period differ (one sample "
+              "period per run)";
+        return false;
+    }
+    out.obs.metricsPeriod =
+        std::max(out.obs.metricsPeriod, timeline_period);
     const std::string bad = out.validate();
     if (!bad.empty()) {
         err = bad;

@@ -110,7 +110,8 @@ struct CampaignSpec
     RecoveryConfig recovery{};
 
     /** Observability layer for every job (manifest keys
-     *  `flight-recorder`, `timeline-period`). When enabled the
+     *  `flight-recorder`, and `timeline-period` / `metrics-period`,
+     *  which both set the one sample period). When enabled the
      *  runner writes per-job trace/timeline files next to the
      *  campaign results. */
     ObsConfig obs{};

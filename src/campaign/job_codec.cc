@@ -70,10 +70,10 @@ void
 encodeTelemetryFrame(ByteWriter &w, const TelemetryFrame &t)
 {
     w.u64(t.job);
-    w.u64(t.tick);
-    w.u64(t.instructions);
-    w.u64(t.stores);
-    w.u64(t.wbEntries);
+    w.u64(t.sum.tick);
+    w.u64(t.sum.instructions);
+    w.u64(t.sum.stores);
+    w.u64(t.sum.wbEntries);
     w.str(t.line);
 }
 
@@ -82,10 +82,10 @@ decodeTelemetryFrame(ByteReader &r)
 {
     TelemetryFrame t;
     t.job = r.u64();
-    t.tick = r.u64();
-    t.instructions = r.u64();
-    t.stores = r.u64();
-    t.wbEntries = r.u64();
+    t.sum.tick = r.u64();
+    t.sum.instructions = r.u64();
+    t.sum.stores = r.u64();
+    t.sum.wbEntries = r.u64();
     t.line = r.str();
     return t;
 }

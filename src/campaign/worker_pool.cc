@@ -319,15 +319,8 @@ campaignWorkerMain()
         tele.emit = [&send](std::size_t job,
                             const MetricsSummary &sum,
                             const std::string &line) {
-            TelemetryFrame t;
-            t.job = job;
-            t.tick = sum.tick;
-            t.instructions = sum.instructions;
-            t.stores = sum.stores;
-            t.wbEntries = sum.wbEntries;
-            t.line = line;
             ByteWriter bw;
-            encodeTelemetryFrame(bw, t);
+            encodeTelemetryFrame(bw, TelemetryFrame{job, sum, line});
             send(WireType::Telemetry, bw);
         };
         telep = &tele;
@@ -766,15 +759,9 @@ runWorkerPool(const CampaignSpec &spec,
                     const TelemetryFrame t = decodeTelemetryFrame(r);
                     wk.lastBeat = SteadyClock::now();
                     wk.lastTelemetry = wk.lastBeat;
-                    if (telemetry && telemetry->emit) {
-                        MetricsSummary sum;
-                        sum.tick = t.tick;
-                        sum.instructions = t.instructions;
-                        sum.stores = t.stores;
-                        sum.wbEntries = t.wbEntries;
-                        telemetry->emit(std::size_t(t.job), sum,
+                    if (telemetry && telemetry->emit)
+                        telemetry->emit(std::size_t(t.job), t.sum,
                                         t.line);
-                    }
                     break;
                 }
                 case WireType::JobDone: {

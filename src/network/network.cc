@@ -505,6 +505,29 @@ Network::serializeState(ByteWriter &w) const
             }
         }
     }
+    // A pause off the commit grid leaves sends in the rings and
+    // delivery statistics unfolded (System::runEpoch).
+    for (const auto &ring : _rings) {
+        ring->forEach([&w](const PendingSend &p) {
+            const NetMsg &m = *p.msg;
+            w.b(true);
+            w.u64(p.snow);
+            w.u64(m.seq);
+            w.str(m.kind());
+            w.i64(m.dst);
+            w.i64(int(m.vnet));
+            w.u32(m.flits);
+            w.u64(m.debugAddr());
+        });
+        w.b(false);
+    }
+    for (const NodeDelta &nd : _deltas) {
+        w.u64(nd.localMessages);
+        for (std::size_t v = 0; v < numVNets; ++v) {
+            w.u64(nd.dup[v]);
+            w.u64(nd.ooo[v]);
+        }
+    }
     serializeExtra(w);
 }
 

@@ -218,23 +218,8 @@ class Network : public SimObject
     /** Total flit-hops injected so far (traffic metric). */
     std::uint64_t flitHops() const { return _flitHops.value(); }
 
-    /** Flit-hops injected on one virtual network (link-utilization
-     *  gauge for the timeline sampler). */
-    std::uint64_t
-    vnetFlitHops(int vnet) const
-    {
-        return _vnetFlitHops[std::size_t(vnet)]->value();
-    }
-
     /** Total messages injected so far. */
     std::uint64_t messages() const { return _messages.value(); }
-
-    /** Transport-level retransmissions of dropped messages. */
-    std::uint64_t retransmits() const { return _retransmits.value(); }
-
-    /** Dropped messages that were eventually delivered (or proven
-     *  superseded by an endpoint re-issue). */
-    std::uint64_t recovered() const { return _recovered.value(); }
 
     /** Duplicated deliveries observed on one virtual network. */
     std::uint64_t
@@ -253,9 +238,10 @@ class Network : public SimObject
 
     /** Snapshot witness: the in-flight ledgers (ordered by id),
      *  per-source sequence stamps, per-channel delivery horizons,
-     *  the duplicate-delivery windows, pending inbox arrivals, and
-     *  any implementation state (serializeExtra). Serial phase
-     *  only; the send rings must be empty (committed). */
+     *  the duplicate-delivery windows, pending inbox arrivals, the
+     *  sends and delivery-statistic deltas a pause left uncommitted,
+     *  and any implementation state (serializeExtra). Serial phase
+     *  only. */
     void serializeState(ByteWriter &w) const;
 
   protected:

@@ -37,9 +37,9 @@ struct ObsConfig
 {
     /** Flight-recorder ring capacity in events; 0 = disabled. */
     std::size_t flightRecorder = 0;
-    /** Time-series gauge sample period in cycles; 0 = disabled. */
-    Tick timelinePeriod = 0;
-    /** Metrics snapshot-stream period in cycles; 0 = no stream. */
+    /** Period in cycles of the run's one sampler (the metrics
+     *  snapshot stream; the timeline is a projection of it);
+     *  0 = no sampler. */
     Tick metricsPeriod = 0;
     /** Build the metrics registry (gauges + exposition) even when no
      *  snapshot stream is requested. Implied by metricsPeriod != 0. */

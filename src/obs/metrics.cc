@@ -3,7 +3,10 @@
 #include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <unistd.h>
+
+#include "system/json_writer.hh"
 
 namespace wb
 {
@@ -40,73 +43,123 @@ MetricsRegistry::addGauge(const std::string &name,
     assert(inserted && "duplicate gauge name");
 }
 
+template <typename Fn>
+void
+MetricsRegistry::forEachMetric(Fn &&fn) const
+{
+    // Both sources iterate in sorted name order; merge them.
+    static const std::map<std::string, StatBase *> none;
+    const auto &stats = _stats ? _stats->all() : none;
+    auto si = stats.begin();
+    auto gi = _gauges.begin();
+    while (si != stats.end() || gi != _gauges.end()) {
+        if (gi == _gauges.end() ||
+            (si != stats.end() && si->first < gi->first)) {
+            fn(si->first, si->second, nullptr);
+            ++si;
+        } else {
+            fn(gi->first, nullptr, &gi->second);
+            ++gi;
+        }
+    }
+}
+
 std::vector<MetricDesc>
 MetricsRegistry::describe() const
 {
     std::vector<MetricDesc> out;
-    // Both sources iterate in sorted name order; merge them.
-    auto si = _stats ? _stats->all().begin() : decltype(_stats->all().begin())();
-    auto se = _stats ? _stats->all().end() : si;
-    auto gi = _gauges.begin();
-    auto ge = _gauges.end();
-    while (si != se || gi != ge) {
-        if (gi == ge || (si != se && si->first < gi->first)) {
-            MetricDesc d;
-            d.name = si->first;
-            d.kind = dynamic_cast<const Histogram *>(si->second)
-                         ? MetricKind::Histogram
-                         : MetricKind::Counter;
-            d.unit = si->second->unit();
-            d.component = componentOf(d.name);
-            out.push_back(std::move(d));
-            ++si;
-        } else {
-            MetricDesc d;
-            d.name = gi->first;
-            d.kind = MetricKind::Gauge;
-            d.unit = gi->second.unit;
-            d.component = componentOf(d.name);
-            out.push_back(std::move(d));
-            ++gi;
-        }
-    }
+    forEachMetric([&out](const std::string &name, const StatBase *stat,
+                         const Gauge *gauge) {
+        const MetricKind kind =
+            gauge ? MetricKind::Gauge
+            : dynamic_cast<const Histogram *>(stat) ? MetricKind::Histogram
+                                                    : MetricKind::Counter;
+        out.push_back({name, kind, gauge ? gauge->unit : stat->unit(),
+                       componentOf(name)});
+    });
     return out;
 }
+
+namespace
+{
+
+using S = MetricsSummary;
+
+/** Every MetricsSummary roll-up: the registry metrics it sums (unit
+ *  class up to the first '.', stat name after the last '.') and, for
+ *  the timeline's columns in CSV order, the column name, its
+ *  Perfetto counter track, and whether it reports the per-period
+ *  delta of a running total. */
+const struct Rollup
+{
+    std::string_view unit, stat;
+    std::uint64_t S::*field;
+    const char *column = nullptr, *track = nullptr;
+    bool delta = false;
+} rollups[] = {
+    {"core", "commits", &S::instructions},
+    {"core", "stores", &S::stores},
+    {"llc", "writersBlockEntries", &S::wbEntries},
+    {"core", "rob", &S::rob, "rob", "rob"},
+    {"core", "iq", &S::iq, "iq", "iq"},
+    {"core", "lq", &S::lq, "lq", "lq"},
+    {"core", "sq", &S::sq, "sq", "sq"},
+    {"core", "sb", &S::sb, "sb", "sb"},
+    {"core", "locksHeld", &S::lockdowns, "lockdowns", "lockdowns"},
+    {"l1", "mshrs", &S::mshrs, "mshrs", "mshrs"},
+    {"l1", "writebacks", &S::writebacks, "writebacks", "writebacks"},
+    {"net", "inFlight", &S::inFlight, "inFlight", "net inFlight"},
+    {"net", "flitHopsReq", &S::flitHopsReq, "vnetReqFlits", "flits req",
+     true},
+    {"net", "flitHopsFwd", &S::flitHopsFwd, "vnetFwdFlits", "flits fwd",
+     true},
+    {"net", "flitHopsResp", &S::flitHopsResp, "vnetRespFlits",
+     "flits resp", true},
+};
+
+/** The summary field metric @p name rolls up into, or nullptr. */
+std::uint64_t *
+rollupOf(S &sum, const std::string &name)
+{
+    const std::string_view n(name);
+    const std::string_view stat = n.substr(n.rfind('.') + 1);
+    for (const Rollup &r : rollups)
+        if (r.stat == stat && n.starts_with(r.unit) &&
+            n[r.unit.size()] == '.')
+            return &(sum.*r.field);
+    return nullptr;
+}
+
+/** Timeline value of column @p r in sample @p cur; delta columns
+ *  count since @p prev (nullptr: the first sample). */
+std::uint64_t
+columnValue(const Rollup &r, const S &cur, const S *prev)
+{
+    return cur.*r.field - (r.delta && prev ? prev->*r.field : 0);
+}
+
+} // namespace
 
 std::vector<std::pair<std::string, std::uint64_t>>
 MetricsRegistry::values(MetricsSummary *summary) const
 {
     std::vector<std::pair<std::string, std::uint64_t>> out;
-    auto note = [&](const std::string &name, std::uint64_t v,
-                    bool is_counter) {
+    forEachMetric([&](const std::string &name, const StatBase *stat,
+                      const Gauge *gauge) {
+        std::uint64_t v;
+        if (gauge)
+            v = gauge->poll();
+        else if (auto *h = dynamic_cast<const Histogram *>(stat))
+            v = h->samples();
+        else if (auto *c = dynamic_cast<const Counter *>(stat))
+            v = c->value();
+        else
+            return;
         out.emplace_back(name, v);
-        if (summary && is_counter) {
-            if (name.starts_with("core.")) {
-                if (name.ends_with(".commits"))
-                    summary->instructions += v;
-                else if (name.ends_with(".stores"))
-                    summary->stores += v;
-            } else if (name.ends_with(".writersBlockEntries")) {
-                summary->wbEntries += v;
-            }
-        }
-    };
-    auto si = _stats ? _stats->all().begin() : decltype(_stats->all().begin())();
-    auto se = _stats ? _stats->all().end() : si;
-    auto gi = _gauges.begin();
-    auto ge = _gauges.end();
-    while (si != se || gi != ge) {
-        if (gi == ge || (si != se && si->first < gi->first)) {
-            if (auto *h = dynamic_cast<const Histogram *>(si->second))
-                note(si->first, h->samples(), false);
-            else if (auto *c = dynamic_cast<const Counter *>(si->second))
-                note(si->first, c->value(), true);
-            ++si;
-        } else {
-            note(gi->first, gi->second.poll(), false);
-            ++gi;
-        }
-    }
+        if (summary)
+            if (std::uint64_t *field = rollupOf(*summary, name))
+                *field += v;
+    });
     return out;
 }
 
@@ -167,10 +220,6 @@ MetricsRegistry::writeExposition(std::ostream &os) const
     // Group series by family ("component.stat" -> family "wb_stat")
     // so each family gets exactly one TYPE header; std::map keeps
     // both families and their series deterministically sorted.
-    struct Series
-    {
-        std::string text; // fully rendered sample lines
-    };
     struct Family
     {
         MetricKind kind = MetricKind::Counter;
@@ -330,21 +379,22 @@ MetricsStreamer::emit(Tick tick)
     sum.tick = tick;
     auto vals = _reg->values(&sum);
     std::string body;
+    // Both value lists are sorted by name: walk them in step.
+    auto prev = _last.begin();
     for (const auto &[name, v] : vals) {
-        bool changed;
-        if (!_emittedData) {
-            changed = v != 0;
-        } else {
-            auto it = _last.find(name);
-            changed = it == _last.end() || it->second != v;
-        }
+        int order = 1;
+        while (prev != _last.end() &&
+               (order = prev->first.compare(name)) < 0)
+            ++prev;
+        const bool changed =
+            _emittedData ? order != 0 || prev->second != v : v != 0;
         if (changed) {
             if (!body.empty())
                 body += ",";
             body += jsonStr(name) + ":" + std::to_string(v);
         }
-        _last[name] = v;
     }
+    _last = std::move(vals);
     if (body.empty())
         return;
     _emittedData = true;
@@ -355,10 +405,61 @@ MetricsStreamer::emit(Tick tick)
 }
 
 void
-MetricsStreamer::finish(Tick tick)
+forEachTimelineColumn(
+    const MetricsSummary &cur, const MetricsSummary *prev,
+    const std::function<void(const char *, std::uint64_t)> &fn)
 {
-    emitHeader();
-    emit(tick);
+    for (const Rollup &r : rollups)
+        if (r.column)
+            fn(r.track, columnValue(r, cur, prev));
+}
+
+void
+writeTimelineCsv(std::ostream &os,
+                 const std::vector<MetricsSummary> &samples)
+{
+    os << "cycle";
+    for (const Rollup &r : rollups)
+        if (r.column)
+            os << ',' << r.column;
+    os << '\n';
+    const MetricsSummary *prev = nullptr;
+    for (const MetricsSummary &s : samples) {
+        os << s.tick;
+        for (const Rollup &r : rollups)
+            if (r.column)
+                os << ',' << columnValue(r, s, prev);
+        os << '\n';
+        prev = &s;
+    }
+}
+
+void
+writeTimelineJson(std::ostream &os, Tick period,
+                  const std::vector<MetricsSummary> &samples)
+{
+    JsonWriter w(os);
+    w.openObject();
+    w.field("period", std::uint64_t(period));
+    w.openArray("samples");
+    const MetricsSummary *prev = nullptr;
+    for (const MetricsSummary &s : samples) {
+        w.openObject();
+        w.field("cycle", std::uint64_t(s.tick));
+        for (const Rollup &r : rollups)
+            if (r.column && !r.delta)
+                w.field(r.column, columnValue(r, s, prev));
+        w.openArray("vnetFlitHops");
+        for (const Rollup &r : rollups)
+            if (r.delta)
+                w.field("", columnValue(r, s, prev));
+        w.closeArray();
+        w.closeObject();
+        prev = &s;
+    }
+    w.closeArray();
+    w.closeObject();
+    os << '\n';
 }
 
 } // namespace wb

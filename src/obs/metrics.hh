@@ -12,10 +12,11 @@
  * the StatRegistry, so enabling metrics cannot change the bytes of
  * `--dump-stats` output or the JSON run report.
  *
- * On top of the registry, MetricsStreamer serializes interval delta
- * snapshots: at a fixed tick period it walks the registry and writes
+ * On top of the registry, MetricsStreamer is the run's one periodic
+ * sampler: at a fixed tick period it walks the registry and writes
  * one NDJSON line holding the metrics whose value changed since the
- * previous line. Values are pure functions of the simulation, names
+ * previous line (the timeline is the lines' summaries). Values are
+ * pure functions of the simulation, names
  * are emitted in sorted order, and no wall-clock field is written
  * unless explicitly stamped (stampWall) — so for a given seed the
  * stream is byte-deterministic, modulo the optional top-level "wall"
@@ -66,9 +67,9 @@ struct MetricDesc
 };
 
 /**
- * Rolled-up progress figures computed while walking a snapshot; the
- * campaign layer ships these in Telemetry frames to drive the live
- * aggregated progress table without re-parsing NDJSON.
+ * Machine-wide figures rolled up while walking a snapshot. Campaign
+ * Telemetry frames carry the progress fields; the timeline is the
+ * series of summaries taken at the periodic samples.
  */
 struct MetricsSummary
 {
@@ -76,7 +77,28 @@ struct MetricsSummary
     std::uint64_t instructions = 0; //!< sum of core.*.commits
     std::uint64_t stores = 0;       //!< sum of core.*.stores
     std::uint64_t wbEntries = 0;    //!< sum of llc.*.writersBlockEntries
+    // Occupancy gauges summed over components, then flit-hop running
+    // totals per virtual network (`rollups` in metrics.cc names the
+    // metrics behind each).
+    std::uint64_t rob = 0, iq = 0, lq = 0, sq = 0, sb = 0;
+    std::uint64_t lockdowns = 0, mshrs = 0, writebacks = 0, inFlight = 0;
+    std::uint64_t flitHopsReq = 0, flitHopsFwd = 0, flitHopsResp = 0;
 };
+
+/** Visit the timeline columns of sample @p cur in CSV order as
+ *  @p fn(Perfetto track name, value). The per-vnet flit columns are
+ *  the flit-hops since @p prev (nullptr for the first sample). */
+void forEachTimelineColumn(
+    const MetricsSummary &cur, const MetricsSummary *prev,
+    const std::function<void(const char *, std::uint64_t)> &fn);
+
+/** Timeline CSV: a header line, then one row per sample. */
+void writeTimelineCsv(std::ostream &os,
+                      const std::vector<MetricsSummary> &samples);
+
+/** Timeline JSON: {"period":N,"samples":[{...},...]}. */
+void writeTimelineJson(std::ostream &os, Tick period,
+                       const std::vector<MetricsSummary> &samples);
 
 /**
  * The registry: a typed view over the System's StatRegistry plus the
@@ -130,6 +152,11 @@ class MetricsRegistry
         std::function<std::uint64_t()> poll;
     };
 
+    /** @p fn(name, stat, gauge) per metric in name order; exactly
+     *  one of stat and gauge is non-null. */
+    template <typename Fn>
+    void forEachMetric(Fn &&fn) const;
+
     const StatRegistry *_stats;
     std::map<std::string, Gauge> _gauges;
 };
@@ -169,20 +196,34 @@ class MetricsStreamer
      *  cannot be opened for writing. */
     bool openFile(const std::string &spec, std::string &err);
 
-    /** Attach a frame callback sink (campaign telemetry). */
+    /** Attach a frame callback sink (campaign telemetry, the
+     *  timeline). */
     void setCallback(FrameFn fn) { _callback = std::move(fn); }
+
+    /** A frame callback that keeps the timeline in @p rows: the
+     *  summary of each periodic sample (every one writes a line, as
+     *  core.N.cycles advances every cycle), not the header (tick 0)
+     *  nor an end-of-run line off the period grid. */
+    FrameFn
+    timelineSink(std::vector<MetricsSummary> &rows) const
+    {
+        return [this, &rows](const MetricsSummary &f,
+                             const std::string &) {
+            if (f.tick != 0 && due(f.tick))
+                rows.push_back(f);
+        };
+    }
 
     /** Stamp the wall clock into the header's top-level "wall" key.
      *  Never called for plain wbsim streams, which therefore stay
      *  fully byte-deterministic. */
     void stampWall(std::uint64_t unix_ms) { _wallMs = unix_ms; _hasWall = true; }
 
-    /** Emit the header (first call) and one delta line for @p tick. */
+    /** Emit the header (first call) and one delta line for @p tick,
+     *  unless @p tick was the last line's. Called at every periodic
+     *  sample and once more at the end of the run, to capture any
+     *  drift since the last sample. */
     void emit(Tick tick);
-
-    /** End of run: emit the header if nothing ever streamed, plus a
-     *  final delta line capturing any drift since the last period. */
-    void finish(Tick tick);
 
     std::uint64_t linesEmitted() const { return _lines; }
 
@@ -194,7 +235,8 @@ class MetricsStreamer
     Tick _period;
     std::FILE *_file = nullptr;
     FrameFn _callback;
-    std::map<std::string, std::uint64_t> _last;
+    /** Values at the previous emit, sorted by name. */
+    std::vector<std::pair<std::string, std::uint64_t>> _last;
     bool _headerDone = false;
     bool _emittedData = false;
     bool _hasWall = false;

@@ -120,7 +120,7 @@ counter(JsonWriter &w, Tick ts, const char *name, std::uint64_t v)
 void
 writePerfettoTrace(std::ostream &os, const FlightRecorder &rec,
                    int num_cores, int num_banks,
-                   const TimelineSampler *timeline)
+                   const std::vector<MetricsSummary> &timeline)
 {
     JsonWriter w(os);
     w.openObject();
@@ -129,7 +129,7 @@ writePerfettoTrace(std::ostream &os, const FlightRecorder &rec,
     metadata(w, "process_name", pidCores, 0, "cores");
     metadata(w, "process_name", pidBanks, 0, "llc banks");
     metadata(w, "process_name", pidVnets, 0, "network vnets");
-    if (timeline && !timeline->samples().empty())
+    if (!timeline.empty())
         metadata(w, "process_name", pidGauges, 0, "occupancy gauges");
     for (int i = 0; i < num_cores; ++i)
         metadata(w, "thread_name", pidCores, i,
@@ -168,24 +168,13 @@ writePerfettoTrace(std::ostream &os, const FlightRecorder &rec,
         }
     }
 
-    if (timeline) {
-        for (const TimelineSample &s : timeline->samples()) {
-            counter(w, s.cycle, "rob", s.rob);
-            counter(w, s.cycle, "iq", s.iq);
-            counter(w, s.cycle, "lq", s.lq);
-            counter(w, s.cycle, "sq", s.sq);
-            counter(w, s.cycle, "sb", s.sb);
-            counter(w, s.cycle, "lockdowns", s.lockdowns);
-            counter(w, s.cycle, "mshrs", s.mshrs);
-            counter(w, s.cycle, "writebacks", s.writebacks);
-            counter(w, s.cycle, "net inFlight", s.inFlight);
-            counter(w, s.cycle, "flits req",
-                    s.vnetFlitHops[0]);
-            counter(w, s.cycle, "flits fwd",
-                    s.vnetFlitHops[1]);
-            counter(w, s.cycle, "flits resp",
-                    s.vnetFlitHops[2]);
-        }
+    const MetricsSummary *prev = nullptr;
+    for (const MetricsSummary &s : timeline) {
+        forEachTimelineColumn(s, prev,
+                              [&](const char *track, std::uint64_t v) {
+                                  counter(w, s.tick, track, v);
+                              });
+        prev = &s;
     }
 
     w.closeArray();

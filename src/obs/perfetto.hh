@@ -12,9 +12,10 @@
 #define WB_OBS_PERFETTO_HH
 
 #include <ostream>
+#include <vector>
 
 #include "obs/flight_recorder.hh"
-#include "obs/timeline.hh"
+#include "obs/metrics.hh"
 
 namespace wb
 {
@@ -23,14 +24,15 @@ namespace wb
  * Write the recorder's retained events as trace-event JSON.
  * @p num_cores and @p num_banks size the track-name metadata (banks
  * equal cores in this machine, but the exporter does not assume it).
- * When @p timeline is non-null its gauge samples are exported as
- * counter ("C") tracks in their own process group, so occupancy
- * renders in ui.perfetto.dev alongside the event tracks. Output is
- * deterministic: same recording, same bytes.
+ * The rows of @p timeline (the metrics sampler's periodic
+ * summaries), if any, are exported as counter ("C") tracks in their
+ * own process group, so occupancy renders in ui.perfetto.dev
+ * alongside the event tracks. Output is deterministic: same
+ * recording, same bytes.
  */
 void writePerfettoTrace(std::ostream &os, const FlightRecorder &rec,
                         int num_cores, int num_banks,
-                        const TimelineSampler *timeline = nullptr);
+                        const std::vector<MetricsSummary> &timeline = {});
 
 } // namespace wb
 

@@ -133,6 +133,20 @@ class SpscQueue
         _headBlock = b;
     }
 
+    // Consumer side: visit the queued elements in order without
+    // consuming them (snapshot witnesses of a paused run).
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const Block *b = _headBlock; b;
+             b = b->next.load(std::memory_order_acquire))
+            for (std::size_t i = b->head,
+                             tail = b->tail.load(std::memory_order_acquire);
+                 i < tail; ++i)
+                fn(*b->slot(i));
+    }
+
     // Consumer side.
     bool
     empty() const

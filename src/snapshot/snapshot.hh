@@ -57,7 +57,7 @@ struct SnapshotFile
 {
     static constexpr std::uint64_t magic = 0x313050414e534257ULL;
     //!< "WBSNAP01" little-endian
-    static constexpr std::uint32_t version = 2;
+    static constexpr std::uint32_t version = 3;
 
     Tick tick = 0;
     std::uint64_t configFingerprint = 0;

@@ -95,7 +95,9 @@ configFingerprint(const SystemConfig &cfg)
     w.u32(r.retransmitBudget);
 
     w.u64(cfg.obs.flightRecorder);
-    w.u64(cfg.obs.timelinePeriod);
+    // Was the timeline period; kept as 0 so existing fingerprints
+    // hold (observability never changes results).
+    w.u64(0);
 
     w.u64(cfg.txnWarnCycles);
     w.u64(cfg.txnDeadlockCycles);

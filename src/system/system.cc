@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 #include <sstream>
+#include <utility>
 
 #include "coherence/messages.hh"
 #include "sim/log.hh"
@@ -63,14 +64,12 @@ SystemConfig::validate() const
                " (one directory sharer bit per core)";
     if (shards < 1 || shards > numCores)
         return range("shards", shards, numCores);
-    // Layers that log, sample or inject mid-run would need their own
+    // Layers that log or inject mid-run would need their own
     // cross-shard ordering story (docs/PARALLEL.md).
     const char *serial_only =
         faults.enabled()         ? "fault injection"
         : recovery.enabled       ? "recovery"
         : obs.flightRecorder > 0 ? "the flight recorder"
-        : obs.timelinePeriod > 0 ? "the timeline"
-        : obs.metricsEnabled()   ? "metrics"
                                  : nullptr;
     if (shards > 1 && serial_only)
         return std::string(serial_only) +
@@ -137,9 +136,6 @@ System::System(const SystemConfig &cfg, const Workload &workload)
     if (cfg.obs.flightRecorder > 0)
         _recorder = std::make_unique<FlightRecorder>(
             &_stats, cfg.obs.flightRecorder);
-    if (cfg.obs.timelinePeriod > 0)
-        _timeline =
-            std::make_unique<TimelineSampler>(cfg.obs.timelinePeriod);
 
     // The network rides shard 0's queue (only the single-shard
     // retransmission path schedules events on it).
@@ -287,12 +283,6 @@ System::runShardTo(Shard &sh, Tick target)
             if (!_doneOnset[std::size_t(i)] && core.done())
                 _doneOnset[std::size_t(i)] = c;
         }
-        // Observability hooks are single-shard-only (enforced in the
-        // constructor), so they keep their legacy per-tick cadence.
-        if (_timeline && _timeline->due(c))
-            sampleTimeline(c);
-        if (_mstream && _mstream->due(c))
-            _mstream->emit(c);
     }
     sh.cycle = target;
 }
@@ -340,7 +330,7 @@ System::barrierCommit()
 }
 
 void
-System::runEpoch(Tick target)
+System::runEpoch(Tick target, bool stops)
 {
     assert(target > _cycle);
     if (!threaded()) {
@@ -357,18 +347,33 @@ System::runEpoch(Tick target)
             std::this_thread::yield();
     }
     _cycle = target;
-    barrierCommit();
+    // Sample the state a per-tick sampler would see: every shard at
+    // the end of cycle `target`, its sends not yet committed.
+    if (_mstream && _mstream->due(target))
+        _mstream->emit(target);
+    _committed = stops || onGrid(target);
+    if (_committed)
+        barrierCommit();
+}
+
+bool
+System::onGrid(Tick c) const
+{
+    return c % _epochLen == 0 ||
+           (_cfg.watchdogPollCycles && c % _cfg.watchdogPollCycles == 0);
 }
 
 Tick
 System::nextBoundary(Tick c) const
 {
-    Tick nb = (c / _epochLen + 1) * _epochLen;
-    if (_cfg.watchdogPollCycles) {
-        const Tick np = (c / _cfg.watchdogPollCycles + 1) *
-                        _cfg.watchdogPollCycles;
-        nb = std::min(nb, np);
-    }
+    const auto next = [c](Tick period) {
+        return (c / period + 1) * period;
+    };
+    Tick nb = next(_epochLen);
+    if (_cfg.watchdogPollCycles)
+        nb = std::min(nb, next(_cfg.watchdogPollCycles));
+    if (_mstream)
+        nb = std::min(nb, next(_mstream->period()));
     return nb;
 }
 
@@ -402,41 +407,11 @@ System::allDone() const
 void
 System::step(Tick n)
 {
-    // Epoch-quantised advance. Commits at intermediate (clamped)
-    // barriers are outcome-neutral: the commit order is tick-major
-    // canonical, so splitting one batch into per-epoch batches
-    // yields identical arrivals, claims and draws.
+    // Epoch-quantised advance; a target off the grid only parks the
+    // shards (runEpoch), so stepping cannot move fault draws.
     const Tick target = _cycle + n;
     while (_cycle < target)
         runEpoch(std::min(target, nextBoundary(_cycle)));
-}
-
-void
-System::sampleTimeline(Tick cycle)
-{
-    TimelineSample s;
-    s.cycle = cycle;
-    for (const auto &c : _cores) {
-        const auto ps = c->pipelineSnapshot();
-        s.rob += ps.rob;
-        s.iq += ps.iq;
-        s.lq += ps.lq;
-        s.sq += ps.sq;
-        s.sb += ps.sb;
-        s.lockdowns += ps.locksHeld;
-    }
-    for (const auto &l1 : _l1s) {
-        s.mshrs += l1->pendingMshrs();
-        s.writebacks += l1->writebackBufferUse();
-    }
-    s.inFlight = _net->inFlight();
-    for (int v = 0; v < 3; ++v) {
-        const std::uint64_t total = _net->vnetFlitHops(v);
-        s.vnetFlitHops[std::size_t(v)] =
-            total - _lastVnetFlits[std::size_t(v)];
-        _lastVnetFlits[std::size_t(v)] = total;
-    }
-    _timeline->push(s);
 }
 
 SimResults
@@ -460,18 +435,13 @@ System::runToCycle(Tick target)
     const Tick stop = std::min(target, _cfg.maxCycles);
     while (_cycle < stop) {
         const Tick b = std::min(stop, nextBoundary(_cycle));
-        runEpoch(b);
+        runEpoch(b, b == _cfg.maxCycles);
 
-        // Completion and watchdog checks run only at *natural*
-        // boundaries (epoch or poll grid): an arbitrary pause
-        // target must not introduce extra check points, or a
-        // paused-and-resumed run could classify differently from an
-        // uninterrupted one.
-        const bool natural =
-            b % _epochLen == 0 ||
-            (_cfg.watchdogPollCycles &&
-             b % _cfg.watchdogPollCycles == 0);
-        if (!natural)
+        // Completion and watchdog checks run only on the grid: a
+        // pause target or a sample tick must not introduce extra
+        // check points, or a paused-and-resumed run could classify
+        // differently from an uninterrupted one.
+        if (!onGrid(b))
             continue;
 
         if (allDone())
@@ -522,6 +492,9 @@ System::finishRun()
     // the reported number independent of the epoch quantisation
     // (and therefore of the shard count).
     Tick done_cycle = _cycle;
+    // The run stops here: commit what a pause left in the rings.
+    if (!std::exchange(_committed, true))
+        barrierCommit();
     if (!_deadlocked && allDone()) {
         Tick latest = 0;
         for (Tick t : _doneOnset)
@@ -535,7 +508,7 @@ System::finishRun()
     // last due period (and the header, for runs shorter than one
     // period).
     if (_mstream)
-        _mstream->finish(_cycle);
+        _mstream->emit(_cycle);
 
     SimResults r = snapshot();
     r.cycles = done_cycle;
@@ -689,17 +662,17 @@ System::drainTeardown()
     // (writebacks, prefetch fills, eviction recalls): give it a
     // bounded window to settle before judging leaks. Epoch-
     // quantised like the main loop; the idle probe runs at barriers
-    // (pending inbox arrivals keep the ledger non-empty, so
-    // quiescent() covers them).
+    // that committed (pending inbox arrivals keep the ledger
+    // non-empty, so quiescent() covers them; ring sends do not).
     Tick spent = 0;
     while (spent < _cfg.teardownDrainCycles) {
-        if (quiescent() && queuesEmpty())
+        if (_committed && quiescent() && queuesEmpty())
             break;
         const Tick b =
             std::min(_cycle + (_cfg.teardownDrainCycles - spent),
                      nextBoundary(_cycle));
         spent += b - _cycle;
-        runEpoch(b);
+        runEpoch(b, spent == _cfg.teardownDrainCycles);
         // A dropped message can wedge a prefetch or writeback even
         // though every core halted; classify it instead of spinning
         // through the whole drain budget.

@@ -30,7 +30,6 @@
 #include "network/mesh.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/metrics.hh"
-#include "obs/timeline.hh"
 #include "recovery/recovery.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault.hh"
@@ -67,8 +66,8 @@ struct SystemConfig
      * (core + L1 + LLC bank); shards advance in barrier-synced
      * epochs bounded by the network's minimum cross-node latency.
      * Results are byte-identical for every value. Values > 1
-     * require the fault/recovery/observability layers to be off
-     * (validate()).
+     * require the fault/recovery layers and the flight recorder to
+     * be off (validate()).
      */
     int shards = 1;
     Tick maxCycles = 100'000'000;
@@ -83,7 +82,7 @@ struct SystemConfig
      *  fault runs keep their fail-fast classification. */
     RecoveryConfig recovery{};
 
-    /** Observability layer (flight recorder + timeline sampler);
+    /** Observability layer (flight recorder + metrics sampler);
      *  off by default — disabled runs take one extra null test per
      *  hook. */
     ObsConfig obs{};
@@ -214,10 +213,10 @@ class System
 
     /**
      * Run until cycle @p target, pausing there if the simulation is
-     * still live. Callable repeatedly; watchdog state carries over,
-     * so a paused-and-resumed run steps through exactly the same
-     * states as an uninterrupted one (checkpoint/restore relies on
-     * this — docs/CHECKPOINT.md).
+     * still live. Callable repeatedly; a pause only parks the
+     * shards (runEpoch) and watchdog state carries over, so a
+     * paused-and-resumed run steps through exactly the same states
+     * as an uninterrupted one (docs/CHECKPOINT.md).
      *
      * @return true when paused at @p target with more to run;
      *         false when the run ended (all threads halted, a
@@ -245,8 +244,6 @@ class System
     /** Events executed across every shard queue (invariant across
      *  shard counts for a given workload). */
     std::uint64_t eventsExecuted() const;
-
-    int numShards() const { return int(_shards.size()); }
 
     /** Barrier-synced epoch length (the network lookahead). */
     Tick epochLength() const { return _epochLen; }
@@ -276,16 +273,13 @@ class System
         return _recorder.get();
     }
 
-    /** The timeline sampler, nullptr unless obs.timelinePeriod > 0. */
-    TimelineSampler *timeline() { return _timeline.get(); }
-    const TimelineSampler *timeline() const { return _timeline.get(); }
-
     /** The metrics registry, nullptr unless obs.metricsEnabled(). */
     MetricsRegistry *metrics() { return _metrics.get(); }
     const MetricsRegistry *metrics() const { return _metrics.get(); }
 
-    /** The snapshot streamer, nullptr unless obs.metricsPeriod > 0.
-     *  Callers attach sinks (file / callback) before run(). */
+    /** The run's one periodic sampler, nullptr unless
+     *  obs.metricsPeriod > 0. Callers attach sinks (file / callback;
+     *  the timeline is a callback) before run(). */
     MetricsStreamer *metricsStream() { return _mstream.get(); }
     const MetricsStreamer *metricsStream() const
     {
@@ -353,9 +347,6 @@ class System
      *  provably completed through an endpoint ARQ re-issue. */
     void reclassifyRecoveredRequests();
 
-    /** Push one row of gauges into the timeline sampler. */
-    void sampleTimeline(Tick cycle);
-
     /**
      * One shard: a contiguous tile range [firstTile, endTile) with
      * its own event queue, advanced by exactly one thread at a time
@@ -373,15 +364,18 @@ class System
      *  deliveries, events, component ticks, done-onset tracking). */
     void runShardTo(Shard &sh, Tick target);
 
-    /** Advance every shard to @p target, then run the serial
-     *  barrier phase (message commit, checker replay). */
-    void runEpoch(Tick target);
+    /** Advance every shard to @p target and park them; then sample
+     *  if due, and commit only on the grid or where the run @p stops,
+     *  so a pause cannot move commits (and with them fault draws). */
+    void runEpoch(Tick target, bool stops = false);
 
-    /** Next natural epoch boundary after cycle @p c (epoch grid
-     *  joined with the watchdog poll grid). Natural boundaries are
-     *  an intrinsic function of the cycle number, so completion and
-     *  watchdog checks land on the same cycles no matter where a
-     *  pause/resume split the run. */
+    /** True when @p c is a multiple of the epoch length or of the
+     *  watchdog poll period: the only cycles where messages commit
+     *  and completion/watchdog checks run. */
+    bool onGrid(Tick c) const;
+
+    /** Next barrier after cycle @p c: the earliest grid point or
+     *  sample-period multiple. */
     Tick nextBoundary(Tick c) const;
 
     /** True when shard workers exist and are parked (shards > 1). */
@@ -401,7 +395,6 @@ class System
     StatRegistry _stats;
     MainMemory _memory;
     std::unique_ptr<FlightRecorder> _recorder;
-    std::unique_ptr<TimelineSampler> _timeline;
     std::unique_ptr<MetricsRegistry> _metrics;
     std::unique_ptr<MetricsStreamer> _mstream;
     std::unique_ptr<FaultInjector> _faults;
@@ -422,6 +415,7 @@ class System
     std::atomic<std::uint32_t> _arrived{0};  //!< epoch completions
     std::atomic<bool> _shutdown{false};
     Tick _epochTarget = 0; //!< published before the release pulse
+    bool _committed = true; //!< false while a pause left ring sends
 
     /** First cycle each core was observed done (0 = not yet); the
      *  reported completion cycle is the max onset, which equals the
@@ -436,10 +430,6 @@ class System
     std::uint64_t _lastCommits = 0;
     Tick _lastProgress = 0;
     bool _runStarted = false; //!< watchdog baselines initialised
-    /** Previous per-vnet flit-hop totals, so timeline rows carry
-     *  per-period deltas (link utilization) instead of a running
-     *  total. */
-    std::array<std::uint64_t, 3> _lastVnetFlits{};
 };
 
 /** One-line human description of a config (Table 6 style). */

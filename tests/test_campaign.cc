@@ -422,6 +422,32 @@ TEST(CampaignSpec, MetricsPeriodManifestKeyReachesJobConfigs)
     EXPECT_TRUE(cfg.obs.metricsEnabled());
 }
 
+TEST(CampaignSpec, TimelineAndMetricsPeriodsAreOneSamplePeriod)
+{
+    auto parse = [](const char *keys, CampaignSpec &spec,
+                    std::string &err) {
+        std::istringstream in(std::string("name = demo\n"
+                                          "workloads = fft\n") +
+                              keys);
+        return parseCampaignSpec(in, spec, err);
+    };
+    std::string err;
+    CampaignSpec timeline;
+    ASSERT_TRUE(parse("timeline-period = 500\n", timeline, err))
+        << err;
+    EXPECT_EQ(timeline.obs.metricsPeriod, Tick(500));
+
+    CampaignSpec agree;
+    EXPECT_TRUE(parse("timeline-period = 500\nmetrics-period = 500\n",
+                      agree, err))
+        << err;
+
+    CampaignSpec clash;
+    EXPECT_FALSE(parse("timeline-period = 500\nmetrics-period = 700\n",
+                       clash, err));
+    EXPECT_NE(err.find("one sample period"), std::string::npos) << err;
+}
+
 TEST(CampaignTelemetry, SidecarsAreByteIdenticalAcrossWorkerCounts)
 {
     const CampaignSpec spec = tinySpec();

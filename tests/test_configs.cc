@@ -99,6 +99,11 @@ TEST(Config, ValidateAcceptsRunnableConfigs)
     widest.numCores = LLCBank::maxCores;
     widest.shards = LLCBank::maxCores;
     EXPECT_EQ(widest.validate(), "");
+    // The sampler runs on the barrier thread, so it shards.
+    SystemConfig sampled;
+    sampled.shards = 2;
+    sampled.obs.metricsPeriod = 100;
+    EXPECT_EQ(sampled.validate(), "");
 }
 
 TEST(Config, ValidateRejectsOneCasePerRule)
@@ -128,10 +133,6 @@ TEST(Config, ValidateRejectsOneCasePerRule)
             [](auto &c) { c.recovery.enabled = true; });
     sharded("flight recorder is incompatible",
             [](auto &c) { c.obs.flightRecorder = 64; });
-    sharded("timeline is incompatible",
-            [](auto &c) { c.obs.timelinePeriod = 100; });
-    sharded("metrics is incompatible",
-            [](auto &c) { c.obs.metrics = true; });
     rejects("fault config: drop", [](auto &c) { c.faults.dropProb = 2; });
     rejects("recovery cycle parameters", [](auto &c) {
         c.recovery.enabled = true;

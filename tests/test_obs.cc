@@ -1,7 +1,7 @@
 /**
  * @file
  * Observability-layer tests: flight-recorder ring semantics, latency
- * breakdown telescoping, timeline sampler period math, Perfetto
+ * breakdown telescoping, timeline period math, Perfetto
  * export determinism, crash-report integration, and the stats/log
  * satellites (histogram percentiles, trace sink).
  */
@@ -12,11 +12,11 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/flight_recorder.hh"
 #include "obs/metrics.hh"
 #include "obs/perfetto.hh"
-#include "obs/timeline.hh"
 #include "sim/log.hh"
 #include "sim/stats.hh"
 #include "system/crash_report.hh"
@@ -29,7 +29,8 @@ namespace wb
 namespace
 {
 
-/** 4-core litmus config with observability enabled. */
+/** 4-core litmus config with observability enabled: a flight
+ *  recorder of @p ring events, a sampler every @p period cycles. */
 SystemConfig
 obsConfig(std::size_t ring, Tick period)
 {
@@ -37,8 +38,18 @@ obsConfig(std::size_t ring, Tick period)
     cfg.numCores = 4;
     cfg.setMode(CommitMode::OooWB);
     cfg.obs.flightRecorder = ring;
-    cfg.obs.timelinePeriod = period;
+    cfg.obs.metricsPeriod = period;
     return cfg;
+}
+
+/** Keep @p sys's timeline in @p rows, the way wbsim --timeline
+ *  does. */
+void
+keepTimeline(System &sys, std::vector<MetricsSummary> &rows)
+{
+    ASSERT_NE(sys.metricsStream(), nullptr);
+    sys.metricsStream()->setCallback(
+        sys.metricsStream()->timelineSink(rows));
 }
 
 } // namespace
@@ -162,44 +173,82 @@ TEST(FlightRecorder, AbortDropsTheOpenTransaction)
 
 TEST(Timeline, PeriodMathAndRowCount)
 {
-    TimelineSampler tl(100);
-    EXPECT_TRUE(tl.due(100));
-    EXPECT_TRUE(tl.due(200));
-    EXPECT_FALSE(tl.due(1));
-    EXPECT_FALSE(tl.due(150));
+    StatRegistry st;
+    MetricsRegistry reg(&st);
+    MetricsStreamer ms(&reg, 100);
+    EXPECT_TRUE(ms.due(100));
+    EXPECT_TRUE(ms.due(200));
+    EXPECT_FALSE(ms.due(1));
+    EXPECT_FALSE(ms.due(150));
+    std::vector<MetricsSummary> rows;
+    const auto sink = ms.timelineSink(rows);
+    MetricsSummary frame;
+    sink(frame, "");  // the header frame (tick 0)
+    frame.tick = 150; // an off-grid closing line
+    sink(frame, "");
+    frame.tick = 200;
+    sink(frame, "");
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].tick, Tick(200));
 
     Workload wl = makeLitmus(LitmusKind::Table1, 50);
     System sys(obsConfig(0, 100), wl);
+    rows.clear();
+    keepTimeline(sys, rows);
     sys.step(1000);
-    ASSERT_NE(sys.timeline(), nullptr);
     // Cycles 100, 200, ..., 1000: exactly ten samples.
-    EXPECT_EQ(sys.timeline()->samples().size(), 10u);
-    EXPECT_EQ(sys.timeline()->samples().front().cycle, Tick(100));
-    EXPECT_EQ(sys.timeline()->samples().back().cycle, Tick(1000));
+    ASSERT_EQ(rows.size(), 10u);
+    EXPECT_EQ(rows.front().tick, Tick(100));
+    EXPECT_EQ(rows.back().tick, Tick(1000));
+}
+
+TEST(Timeline, RowsAreRegistryRollups)
+{
+    Workload wl = makeLitmus(LitmusKind::Table1, 100);
+    System sys(obsConfig(0, 64), wl);
+    sys.step(640);
+    MetricsSummary sum;
+    std::uint64_t rob = 0, locks = 0, mshrs = 0, resp = 0;
+    for (const auto &[name, v] : sys.metrics()->values(&sum)) {
+        if (name.starts_with("core.") && name.ends_with(".rob"))
+            rob += v;
+        else if (name.ends_with(".locksHeld"))
+            locks += v;
+        else if (name.ends_with(".mshrs"))
+            mshrs += v;
+        else if (name == "net.flitHopsResp")
+            resp = v;
+    }
+    EXPECT_GT(rob, 0u);
+    EXPECT_EQ(sum.rob, rob);
+    EXPECT_EQ(sum.lockdowns, locks);
+    EXPECT_EQ(sum.mshrs, mshrs);
+    EXPECT_EQ(sum.flitHopsResp, resp);
+    EXPECT_EQ(sum.inFlight, sys.network().inFlight());
 }
 
 TEST(Timeline, CsvAndJsonCarryEveryGaugeColumn)
 {
     Workload wl = makeLitmus(LitmusKind::Table1, 100);
     System sys(obsConfig(0, 64), wl);
+    std::vector<MetricsSummary> rows;
+    keepTimeline(sys, rows);
     SimResults r = sys.run();
     ASSERT_TRUE(r.completed);
-    const TimelineSampler *tl = sys.timeline();
-    ASSERT_NE(tl, nullptr);
-    ASSERT_FALSE(tl->samples().empty());
+    ASSERT_FALSE(rows.empty());
 
     std::ostringstream csv;
-    tl->writeCsv(csv);
+    writeTimelineCsv(csv, rows);
     const std::string c = csv.str();
     EXPECT_EQ(c.compare(0, 5, "cycle"), 0);
     EXPECT_NE(c.find("lockdowns"), std::string::npos);
     EXPECT_NE(c.find("vnetRespFlits"), std::string::npos);
     // Header plus one line per sample.
     EXPECT_EQ(std::size_t(std::count(c.begin(), c.end(), '\n')),
-              tl->samples().size() + 1);
+              rows.size() + 1);
 
     std::ostringstream json;
-    tl->writeJson(json);
+    writeTimelineJson(json, 64, rows);
     const std::string j = json.str();
     EXPECT_NE(j.find("\"period\":64"), std::string::npos);
     EXPECT_NE(j.find("\"vnetFlitHops\":["), std::string::npos);
@@ -386,10 +435,8 @@ namespace
 SystemConfig
 metricsConfig(Tick period)
 {
-    SystemConfig cfg = obsConfig(0, 0);
-    cfg.obs.metricsPeriod = period;
-    if (period == 0)
-        cfg.obs.metrics = true;
+    SystemConfig cfg = obsConfig(0, period);
+    cfg.obs.metrics = period == 0;
     return cfg;
 }
 
@@ -548,7 +595,7 @@ TEST(Metrics, StreamerSkipsUnchangedPeriodsAndDuplicateTicks)
     EXPECT_NE(lines[2].find("{\"tick\":30,\"v\":{\"unit.events\":3}}"),
               std::string::npos);
 
-    ms.finish(30); // same tick: no duplicate line
+    ms.emit(30); // same tick (end of run): no duplicate line
     EXPECT_EQ(lines.size(), 3u);
     EXPECT_EQ(ms.linesEmitted(), 3u);
 }
@@ -564,7 +611,7 @@ TEST(Metrics, WallStampLivesInASeparateHeaderKey)
         lines.push_back(line);
     });
     ms.stampWall(1234567);
-    ms.finish(0);
+    ms.emit(0); // end of run: header only
     ASSERT_FALSE(lines.empty());
     EXPECT_NE(lines[0].find("\"wall\":{\"startedUnixMs\":1234567}"),
               std::string::npos);
@@ -599,13 +646,13 @@ TEST(Perfetto, TimelineGaugesExportAsCounterTracks)
     Workload wl = makeLitmus(LitmusKind::Table1, 100);
     SystemConfig cfg = obsConfig(1 << 12, 64);
     System sys(cfg, wl);
+    std::vector<MetricsSummary> rows;
+    keepTimeline(sys, rows);
     const SimResults r = sys.run();
     ASSERT_TRUE(r.completed);
-    ASSERT_NE(sys.timeline(), nullptr);
 
     std::ostringstream os;
-    writePerfettoTrace(os, *sys.flightRecorder(), 4, 4,
-                       sys.timeline());
+    writePerfettoTrace(os, *sys.flightRecorder(), 4, 4, rows);
     const std::string t = os.str();
     EXPECT_NE(t.find("\"occupancy gauges\""), std::string::npos);
     EXPECT_NE(t.find("\"ph\":\"C\""), std::string::npos);

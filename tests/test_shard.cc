@@ -6,9 +6,10 @@
  * any shard count, the simulation — results, every raw counter, the
  * JSON report — is byte-identical to the single-shard run. These
  * tests sweep every litmus plus three synthetic profiles across
- * shards {1, 2, 4} and diff the full counter-bearing JSON reports,
- * then exercise the SPSC ring the shards communicate through with a
- * two-thread randomized run against a reference model.
+ * shards {1, 2, 4} and diff the full counter-bearing JSON reports
+ * and the metrics sampler's outputs, then exercise the SPSC ring the
+ * shards communicate through with a two-thread randomized run
+ * against a reference model.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "sim/rng.hh"
 #include "sim/spsc_queue.hh"
 #include "system/report.hh"
@@ -121,6 +123,58 @@ TEST(ShardDeterminism, SyntheticProfiles)
         cfg.maxCycles = 100'000'000;
         cfg.setMode(CommitMode::OooWB);
         expectShardInvariant(wl, cfg, name);
+    }
+}
+
+namespace
+{
+
+/** Everything the metrics sampler writes for one run: the NDJSON
+ *  stream, the timeline CSV and the end-of-run exposition, plus the
+ *  run's report. */
+std::string
+observeSharded(const Workload &wl, SystemConfig cfg, int shards,
+               Tick period)
+{
+    cfg.shards = shards;
+    cfg.obs.metricsPeriod = period;
+    System sys(cfg, wl);
+    MetricsStreamer *ms = sys.metricsStream();
+    std::string stream;
+    std::vector<MetricsSummary> rows;
+    const auto keep = ms->timelineSink(rows);
+    ms->setCallback([&](const MetricsSummary &frame,
+                        const std::string &line) {
+        stream += line + '\n';
+        keep(frame, line);
+    });
+    const SimResults r = sys.run();
+    EXPECT_TRUE(r.completed);
+    std::ostringstream os;
+    os << stream;
+    writeTimelineCsv(os, rows);
+    sys.metrics()->writeExposition(os);
+    writeJsonReport(os, wl.name, cfg, r, &sys.stats());
+    return os.str();
+}
+
+} // namespace
+
+TEST(ShardDeterminism, SamplerOutputsAreShardInvariant)
+{
+    // The sampler runs on the barrier thread with every shard
+    // parked. Period 3 is shorter than the 6-cycle mesh epoch, so
+    // most samples fall inside an epoch and park without a commit.
+    const Workload wl = makeSynthetic(benchmarkProfile("fft", 0.02), 16);
+    SystemConfig cfg;
+    cfg.numCores = 16;
+    cfg.core = makeCoreConfig(CoreClass::SLM);
+    cfg.setMode(CommitMode::OooWB);
+    for (Tick period : {Tick(3), Tick(100)}) {
+        const std::string base = observeSharded(wl, cfg, 1, period);
+        for (int shards : {2, 4})
+            EXPECT_EQ(base, observeSharded(wl, cfg, shards, period))
+                << "period " << period << ", shards " << shards;
     }
 }
 

@@ -235,10 +235,10 @@ TEST(JobCodec, TelemetryFramesRoundTripOverTheWire)
 {
     TelemetryFrame t;
     t.job = 7;
-    t.tick = 123'456;
-    t.instructions = 98'765;
-    t.stores = 4'321;
-    t.wbEntries = 17;
+    t.sum.tick = 123'456;
+    t.sum.instructions = 98'765;
+    t.sum.stores = 4'321;
+    t.sum.wbEntries = 17;
     t.line = "{\"tick\":123456,\"v\":{\"core.0.commits\":98765}}";
 
     ByteWriter w;
@@ -268,10 +268,10 @@ TEST(JobCodec, TelemetryFramesRoundTripOverTheWire)
     ByteReader r(f.payload.data(), f.payload.size());
     const TelemetryFrame back = decodeTelemetryFrame(r);
     EXPECT_EQ(back.job, t.job);
-    EXPECT_EQ(back.tick, t.tick);
-    EXPECT_EQ(back.instructions, t.instructions);
-    EXPECT_EQ(back.stores, t.stores);
-    EXPECT_EQ(back.wbEntries, t.wbEntries);
+    EXPECT_EQ(back.sum.tick, t.sum.tick);
+    EXPECT_EQ(back.sum.instructions, t.sum.instructions);
+    EXPECT_EQ(back.sum.stores, t.sum.stores);
+    EXPECT_EQ(back.sum.wbEntries, t.sum.wbEntries);
     EXPECT_EQ(back.line, t.line);
 }
 

@@ -83,8 +83,8 @@ usage()
         "  --quick           shorthand for --seeds 4\n"
         "  --out DIR         write per-job crash reports (and,\n"
         "                    with the manifest's flight-recorder /\n"
-        "                    timeline-period keys, per-job traces\n"
-        "                    and timelines) here\n"
+        "                    timeline-period keys or telemetry,\n"
+        "                    per-job traces and timelines) here\n"
         "  --json FILE       aggregate JSON report (- for stdout)\n"
         "  --csv FILE        per-job CSV (- for stdout)\n"
         "  --check-faults    assert the fault-campaign invariants\n"
@@ -143,7 +143,8 @@ usage()
         "  --telemetry-period N\n"
         "                    snapshot period in cycles (default:\n"
         "                    the manifest's metrics-period key, or\n"
-        "                    50000)\n"
+        "                    50000); must equal a period the\n"
+        "                    manifest sets\n"
         "  --heartbeat-grace S\n"
         "                    process backend: kill a worker silent\n"
         "                    (no heartbeat, or busy with no\n"
@@ -391,6 +392,12 @@ main(int argc, char **argv)
                          err.c_str());
             return 64;
         }
+    }
+    if (telemetry_period && spec.obs.metricsPeriod &&
+        telemetry_period != spec.obs.metricsPeriod) {
+        std::fprintf(stderr, "--telemetry-period differs from the "
+                             "manifest's sample period\n");
+        return 64;
     }
 
     if (dry_run) {

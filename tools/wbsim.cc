@@ -32,11 +32,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
 #include "obs/perfetto.hh"
-#include "obs/timeline.hh"
 #include "sim/log.hh"
 #include "sim/parse.hh"
 #include "snapshot/system_state.hh"
@@ -71,8 +71,8 @@ usage()
         "                    shards on N host threads; reports are\n"
         "                    byte-identical for every N (docs/\n"
         "                    PARALLEL.md). Incompatible with the\n"
-        "                    fault/observability/checkpoint/trace\n"
-        "                    layers        (default 1)\n"
+        "                    fault/flight-recorder/checkpoint/\n"
+        "                    trace layers  (default 1)\n"
         "  --scale F         workload scale      (default 0.5)\n"
         "  --iters N         litmus iterations   (default 2000)\n"
         "  --network K       mesh | ideal        (default mesh)\n"
@@ -105,7 +105,9 @@ usage()
         "                    PERIOD cycles to FILE (or fd:N for an\n"
         "                    inherited descriptor); byte-\n"
         "                    deterministic for a given seed\n"
-        "                    (docs/OBSERVABILITY.md)\n"
+        "                    (docs/OBSERVABILITY.md). One sampler\n"
+        "                    feeds both: given together, the two\n"
+        "                    PERIODs must be equal\n"
         "  --metrics-expo FILE\n"
         "                    write a Prometheus-style text\n"
         "                    exposition of all metrics after the\n"
@@ -326,12 +328,19 @@ main(int argc, char **argv)
             count(value(), cfg.obs.flightRecorder, 1);
         else if (a == "--trace-out")
             trace_out = next();
-        else if (flag == "--timeline")
+        else if (flag == "--timeline" || flag == "--metrics-stream") {
+            // One sampler feeds both, so they share its period.
+            Tick period = 0;
             check(parseSinkSpec(flag, a == flag ? next() : value(),
-                                timeline_path, cfg.obs.timelinePeriod));
-        else if (flag == "--metrics-stream")
-            check(parseSinkSpec(flag, a == flag ? next() : value(),
-                                metrics_stream, cfg.obs.metricsPeriod));
+                                flag == "--timeline" ? timeline_path
+                                                     : metrics_stream,
+                                period));
+            check(cfg.obs.metricsPeriod && period != cfg.obs.metricsPeriod
+                      ? "--timeline and --metrics-stream need the "
+                        "same PERIOD (one sampler per run)"
+                      : "");
+            cfg.obs.metricsPeriod = period;
+        }
         else if (a == "--metrics-expo")
             metrics_expo = next();
         else if (flag == "--checkpoint-at")
@@ -504,6 +513,11 @@ main(int argc, char **argv)
             return 64;
         }
     }
+
+    std::vector<MetricsSummary> timeline;
+    if (!timeline_path.empty())
+        sys.metricsStream()->setCallback(
+            sys.metricsStream()->timelineSink(timeline));
 
     const std::uint64_t wl_fp = workloadFingerprint(wl);
 
@@ -690,19 +704,23 @@ main(int argc, char **argv)
         std::printf("\n-- all counters --\n");
         sys.stats().dump(std::cout);
     }
-    if (!json_path.empty()) {
-        if (json_path == "-") {
-            writeJsonReport(std::cout, wl.name, cfg, r,
-                            &sys.stats());
-        } else {
-            std::ofstream jf(json_path);
-            if (!jf)
-                std::fprintf(stderr, "cannot open %s\n",
-                             json_path.c_str());
-            else
-                writeJsonReport(jf, wl.name, cfg, r, &sys.stats());
-        }
-    }
+    // File sinks written after the run: a path that cannot be opened
+    // is reported and skipped.
+    auto writeTo = [](const std::string &path, const auto &write) {
+        if (path.empty())
+            return;
+        std::ofstream f(path);
+        if (!f)
+            std::fprintf(stderr, "cannot open %s\n", path.c_str());
+        else
+            write(f);
+    };
+    if (json_path == "-")
+        writeJsonReport(std::cout, wl.name, cfg, r, &sys.stats());
+    else
+        writeTo(json_path, [&](std::ostream &os) {
+            writeJsonReport(os, wl.name, cfg, r, &sys.stats());
+        });
     if (trace_rec) {
         const TraceFile t = trace_rec->finalize();
         try {
@@ -718,55 +736,31 @@ main(int argc, char **argv)
                          e.what());
         }
     }
-    if (!trace_out.empty()) {
-        std::ofstream tf(trace_out);
-        if (!tf) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         trace_out.c_str());
-        } else {
-            writePerfettoTrace(tf, *sys.flightRecorder(),
-                               cfg.numCores, cfg.numCores,
-                               sys.timeline());
-            std::printf("trace written to %s (open in "
-                        "ui.perfetto.dev or chrome://tracing)\n",
-                        trace_out.c_str());
-        }
-    }
-    if (!timeline_path.empty()) {
-        std::ofstream tl(timeline_path);
-        if (!tl) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         timeline_path.c_str());
-        } else {
-            const bool json =
-                timeline_path.size() >= 5 &&
-                timeline_path.compare(timeline_path.size() - 5, 5,
-                                      ".json") == 0;
-            if (json)
-                sys.timeline()->writeJson(tl);
-            else
-                sys.timeline()->writeCsv(tl);
-            std::printf("timeline written to %s (%zu samples)\n",
-                        timeline_path.c_str(),
-                        sys.timeline()->samples().size());
-        }
-    }
+    writeTo(trace_out, [&](std::ostream &os) {
+        writePerfettoTrace(os, *sys.flightRecorder(), cfg.numCores,
+                           cfg.numCores, timeline);
+        std::printf("trace written to %s (open in ui.perfetto.dev or "
+                    "chrome://tracing)\n",
+                    trace_out.c_str());
+    });
+    writeTo(timeline_path, [&](std::ostream &os) {
+        if (timeline_path.ends_with(".json"))
+            writeTimelineJson(os, cfg.obs.metricsPeriod, timeline);
+        else
+            writeTimelineCsv(os, timeline);
+        std::printf("timeline written to %s (%zu samples)\n",
+                    timeline_path.c_str(), timeline.size());
+    });
     if (!metrics_stream.empty())
         std::printf("metrics stream written to %s (%llu lines)\n",
                     metrics_stream.c_str(),
                     static_cast<unsigned long long>(
                         sys.metricsStream()->linesEmitted()));
-    if (!metrics_expo.empty()) {
-        std::ofstream ef(metrics_expo);
-        if (!ef) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         metrics_expo.c_str());
-        } else {
-            sys.metrics()->writeExposition(ef);
-            std::printf("metrics exposition written to %s\n",
-                        metrics_expo.c_str());
-        }
-    }
+    writeTo(metrics_expo, [&](std::ostream &os) {
+        sys.metrics()->writeExposition(os);
+        std::printf("metrics exposition written to %s\n",
+                    metrics_expo.c_str());
+    });
     if (!crash_dump.empty() && cr.outcome != RunOutcome::Ok) {
         if (cr.crashDumpWritten)
             std::fprintf(stderr, "crash report written to %s\n",
