@@ -1328,12 +1328,13 @@ sortedKeys(const Map &m)
 void
 L1Controller::serializeState(ByteWriter &w) const
 {
-    _array.serializeState(w,
-                          [](ByteWriter &bw, const PrivLine &pl) {
-                              bw.u8(std::uint8_t(pl.st));
-                              putBlock(bw, pl.data);
-                          });
-    _l1Tags.serializeState(w, [](ByteWriter &, const char &) {});
+    _array.serializeState(
+        w, [](ByteWriter &bw, Addr, const PrivLine &pl) {
+            bw.u8(std::uint8_t(pl.st));
+            putBlock(bw, pl.data);
+        });
+    _l1Tags.serializeState(w,
+                           [](ByteWriter &, Addr, const char &) {});
 
     auto putLoads = [&](const std::vector<WaitingLoad> &loads) {
         w.u64(loads.size());

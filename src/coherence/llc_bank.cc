@@ -134,9 +134,10 @@ LLCBank::dumpState(std::ostream &os) const
 {
     bool header = false;
     auto dump_entry = [&](Addr line, const DirEntry &e, bool evb) {
+        const std::size_t deferred = deferredCount(line);
         if (e.state == DirState::I || e.state == DirState::S ||
             e.state == DirState::EM) {
-            if (e.deferred.empty() && !evb)
+            if (deferred == 0 && !evb)
                 return;
         }
         if (!header) {
@@ -149,7 +150,7 @@ LLCBank::dumpState(std::ostream &os) const
            << " sharers=" << std::hex << e.sharers << std::dec
            << " reqor=" << e.reqor
            << " recallPend=" << e.recallPending
-           << " deferred=" << e.deferred.size()
+           << " deferred=" << deferred
            << " evicting=" << e.evicting << "\n";
     };
     const_cast<CacheArray<DirEntry> &>(_array).forEach(
@@ -166,36 +167,70 @@ LLCBank::dumpState(std::ostream &os) const
 std::vector<LLCBank::TxnInfo>
 LLCBank::transientInfos(Tick now_tick) const
 {
+    // Every transient entry's line is in _busyLines (noteBusy() runs
+    // on each transition into a transient state), so the candidates
+    // are that set, the eviction buffer and the deferred table — no
+    // walk of the directory array.
+    std::vector<Addr> lines(_busyLines.begin(), _busyLines.end());
+    for (const auto &kv : _evbuf)
+        lines.push_back(kv.first);
+    for (const auto &kv : _deferred)
+        lines.push_back(kv.first);
+    std::sort(lines.begin(), lines.end());
+    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+
     std::vector<TxnInfo> out;
-    auto consider = [&](Addr line, const DirEntry &e, bool evb) {
-        const bool stable = e.state == DirState::I ||
-                            e.state == DirState::S ||
-                            e.state == DirState::EM;
-        if (stable && e.deferred.empty() && !evb)
-            return;
+    for (Addr line : lines) {
+        const DirEntry *e = lookup(line);
+        if (!e)
+            continue;
+        const bool evb = _evbuf.count(line) != 0;
+        const std::size_t deferred = deferredCount(line);
+        const bool stable = e->state == DirState::I ||
+                            e->state == DirState::S ||
+                            e->state == DirState::EM;
+        if (stable && deferred == 0 && !evb)
+            continue;
         TxnInfo i;
         i.line = line;
-        i.state = dirStateName(int(e.state));
-        i.owner = e.owner;
-        i.reqor = e.reqor;
-        i.recallPending = e.recallPending;
-        i.deferred = e.deferred.size();
+        i.state = dirStateName(int(e->state));
+        i.owner = e->owner;
+        i.reqor = e->reqor;
+        i.recallPending = e->recallPending;
+        i.deferred = deferred;
         i.evbuf = evb;
         i.age = stable ? 0
-                       : (now_tick > e.busySince
-                              ? now_tick - e.busySince
+                       : (now_tick > e->busySince
+                              ? now_tick - e->busySince
                               : 0);
         out.push_back(i);
-    };
-    const_cast<CacheArray<DirEntry> &>(_array).forEach(
-        [&](Addr line, DirEntry &e) { consider(line, e, false); });
-    for (const auto &[line, e] : _evbuf)
-        consider(line, e, true);
-    std::sort(out.begin(), out.end(),
-              [](const TxnInfo &a, const TxnInfo &b) {
-                  return a.line < b.line;
-              });
+    }
     return out;
+}
+
+Addr
+LLCBank::firstDeferredLine() const
+{
+    Addr first = invalidAddr;
+    for (const auto &kv : _deferred)
+        first = std::min(first, kv.first);
+    return first;
+}
+
+std::size_t
+LLCBank::deferredCount(Addr line) const
+{
+    if (_deferred.empty())
+        return 0;
+    auto it = _deferred.find(line);
+    return it == _deferred.end() ? 0 : it->second.size();
+}
+
+void
+LLCBank::defer(const CohMsg &m)
+{
+    ++_deferrals;
+    _deferred[m.line].push(cloneCohMsg(m));
 }
 
 Tick
@@ -231,13 +266,11 @@ LLCBank::tick()
 {
     if (_retryQueue.empty())
         return;
-    std::deque<MsgPtr> pending = std::move(_retryQueue);
-    _retryQueue.clear();
-    while (!pending.empty()) {
-        MsgPtr m = std::move(pending.front());
-        pending.pop_front();
-        handleRequest(std::move(m));
-    }
+    // Requests that fail again re-queue behind this batch; swapping
+    // with a member keeps both buffers' storage across ticks.
+    _retryDraining.swap(_retryQueue);
+    while (!_retryDraining.empty())
+        handleRequest(_retryDraining.pop());
 }
 
 // ---------------------------------------------------------------
@@ -325,12 +358,12 @@ LLCBank::handleRequest(MsgPtr msg)
                 ++_evbufFallbacks;
                 serveUncacheableFromMemory(m);
             } else {
-                _retryQueue.push_back(std::move(msg));
+                _retryQueue.push(std::move(msg));
             }
             return;
         }
         fetchFromMemory(*e, m.line);
-        e->deferred.push_back(std::move(msg));
+        _deferred[m.line].push(std::move(msg));
         return;
     }
 
@@ -420,8 +453,7 @@ LLCBank::handleGetS(DirEntry &e, CohMsg &m)
         sendUData(e.data, m.line, m.src, false, _cfg.llcHitLatency);
         return;
       default:
-        ++_deferrals;
-        e.deferred.push_back(cloneCohMsg(m));
+        defer(m);
         return;
     }
 }
@@ -451,8 +483,7 @@ LLCBank::handleGetU(DirEntry &e, CohMsg &m)
         return;
       }
       default:
-        ++_deferrals;
-        e.deferred.push_back(cloneCohMsg(m));
+        defer(m);
         return;
     }
 }
@@ -597,8 +628,7 @@ LLCBank::handleWrite(DirEntry &e, CohMsg &m)
         sendBlockedHint(m.line, writer);
         [[fallthrough]];
       default:
-        ++_deferrals;
-        e.deferred.push_back(cloneCohMsg(m));
+        defer(m);
         return;
     }
 }
@@ -639,8 +669,7 @@ LLCBank::handlePut(DirEntry &e, CohMsg &m)
             // In-flight transaction involves this sharer: resolve
             // the Put afterwards (the sharer still answers the
             // invalidation from its LQ state).
-            ++_deferrals;
-            e.deferred.push_back(cloneCohMsg(m));
+            defer(m);
             return;
         }
     }
@@ -672,8 +701,7 @@ LLCBank::handlePut(DirEntry &e, CohMsg &m)
         // A transaction involving the old owner is in flight; the
         // owner answers forwards from its writeback buffer and this
         // Put resolves (usually to WBStale) afterwards.
-        ++_deferrals;
-        e.deferred.push_back(cloneCohMsg(m));
+        defer(m);
         return;
     }
 }
@@ -696,29 +724,30 @@ LLCBank::enterWritersBlock(DirEntry &e, Addr line, DirState st)
     // Serve every deferred read immediately with tear-off data and
     // hint every deferred writer: from now on reads must not wait
     // behind the blocked write (deadlock avoidance, Section 3.4).
-    std::deque<MsgPtr> keep;
-    while (!e.deferred.empty()) {
-        MsgPtr d = std::move(e.deferred.front());
-        e.deferred.pop_front();
-        auto &dm = static_cast<CohMsg &>(*d);
-        if (dm.type == CohType::GetS || dm.type == CohType::GetU) {
-            ++_uncacheableReads;
-            const int dst = dm.type == CohType::GetU &&
-                                    dm.requestor >= 0
-                                ? dm.requestor
-                                : dm.src;
-            sendUData(e.data, line, dst,
-                      dm.type == CohType::GetU);
-        } else {
+    if (auto it = _deferred.find(line); it != _deferred.end()) {
+        it->second.retain([&](const MsgPtr &d) {
+            const auto &dm = static_cast<const CohMsg &>(*d);
+            if (dm.type == CohType::GetS ||
+                dm.type == CohType::GetU) {
+                ++_uncacheableReads;
+                const int dst = dm.type == CohType::GetU &&
+                                        dm.requestor >= 0
+                                    ? dm.requestor
+                                    : dm.src;
+                sendUData(e.data, line, dst,
+                          dm.type == CohType::GetU);
+                return false;
+            }
             if (dm.type == CohType::GetX ||
                 dm.type == CohType::Upgrade) {
                 ++_wbEncounters;
                 sendBlockedHint(line, dm.src);
             }
-            keep.push_back(std::move(d));
-        }
+            return true;
+        });
+        if (it->second.empty())
+            _deferred.erase(it);
     }
-    e.deferred = std::move(keep);
 
     if (st == DirState::WB && !e.hintSent) {
         e.hintSent = true;
@@ -913,16 +942,21 @@ LLCBank::finishTransaction(DirEntry &e, Addr line)
 void
 LLCBank::replayDeferred(Addr line)
 {
+    // Re-find the queue every round: a replayed request may finish
+    // an eviction, which drains this line's queue itself.
     while (true) {
-        DirEntry *e = lookup(line);
-        if (!e || e->deferred.empty())
+        auto it = _deferred.find(line);
+        if (it == _deferred.end())
             return;
+        const DirEntry *e = lookup(line);
+        assert(e && "deferred requests on a line with no entry");
         const DirState st = e->state;
         if (st != DirState::I && st != DirState::S &&
             st != DirState::EM)
             return;
-        MsgPtr m = std::move(e->deferred.front());
-        e->deferred.pop_front();
+        MsgPtr m = it->second.pop();
+        if (it->second.empty())
+            _deferred.erase(it);
         handleRequest(std::move(m));
     }
 }
@@ -945,6 +979,10 @@ LLCBank::allocate(Addr line)
             return d.state == DirState::I;
         });
     if (victim != invalidAddr) {
+        // Dropped without finishEviction(): nothing may be queued on
+        // it, or the requests would reattach to a later allocation.
+        assert(!_deferred.count(victim) &&
+               "silent drop of a line with deferred requests");
         DirEntry *v = _array.find(victim);
         if (v->dirty) {
             _memory->write(victim, v->data);
@@ -1027,17 +1065,18 @@ LLCBank::finishEviction(Addr line)
         _memory->write(line, e->data);
         ++_memWritebacks;
     }
-    std::deque<MsgPtr> deferred = std::move(e->deferred);
+    MsgFifo deferred;
+    if (auto d = _deferred.find(line); d != _deferred.end()) {
+        deferred.swap(d->second);
+        _deferred.erase(d);
+    }
     auto it = _evbuf.find(line);
     if (it != _evbuf.end())
         _evbuf.erase(it);
     else
         _array.erase(line);
-    while (!deferred.empty()) {
-        MsgPtr m = std::move(deferred.front());
-        deferred.pop_front();
-        handleRequest(std::move(m));
-    }
+    while (!deferred.empty())
+        handleRequest(deferred.pop());
 }
 
 // ---------------------------------------------------------------
@@ -1107,7 +1146,8 @@ putCohMsg(ByteWriter &w, const NetMsg &base)
 void
 LLCBank::serializeState(ByteWriter &w) const
 {
-    auto putEntry = [](ByteWriter &bw, const DirEntry &e) {
+    auto putEntry = [this](ByteWriter &bw, Addr line,
+                           const DirEntry &e) {
         bw.u8(std::uint8_t(e.state));
         bw.b(e.haveData);
         bw.b(e.dirty);
@@ -1125,9 +1165,13 @@ LLCBank::serializeState(ByteWriter &w) const
         bw.b(e.hintSent);
         bw.b(e.evicting);
         bw.u64(e.busySince);
-        bw.u64(e.deferred.size());
-        for (const MsgPtr &m : e.deferred)
-            putCohMsg(bw, *m);
+        // The entry's deferred list, from the side table: part of
+        // the entry's encoding in the llc-<b> section.
+        auto d = _deferred.find(line);
+        bw.u64(d == _deferred.end() ? 0 : d->second.size());
+        if (d != _deferred.end())
+            for (const MsgPtr &m : d->second)
+                putCohMsg(bw, *m);
     };
 
     _array.serializeState(w, putEntry);
@@ -1140,7 +1184,7 @@ LLCBank::serializeState(ByteWriter &w) const
     w.u64(lines.size());
     for (Addr line : lines) {
         w.u64(line);
-        putEntry(w, _evbuf.at(line));
+        putEntry(w, line, _evbuf.at(line));
     }
 
     lines.assign(_busyLines.begin(), _busyLines.end());

@@ -25,17 +25,25 @@
  * miss can claim the directory slot immediately; when the buffer is
  * full, reads fall back to uncacheable service straight from memory
  * — the deadlock-avoidance strategy of Section 3.5.1.
+ *
+ * Requests deferred behind a transient or WritersBlock entry live in
+ * a per-bank side table keyed by line, not in the directory entry:
+ * a table entry exists only while its line has deferred requests, so
+ * directory entries stay plain values and a bank costs only what its
+ * run defers. A line's queue follows the line between the array and
+ * the eviction buffer.
  */
 
 #ifndef WB_COHERENCE_LLC_BANK_HH
 #define WB_COHERENCE_LLC_BANK_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <ostream>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "coherence/config.hh"
@@ -82,6 +90,15 @@ class LLCBank : public SimObject
     /** Eviction-buffer / retry-queue occupancy gauges. */
     void registerMetrics(MetricsRegistry &metrics) override;
 
+    /** Lines that have deferred requests queued. Every such line
+     *  has a directory entry; a line without one would hold
+     *  requests that nothing will ever replay. */
+    std::size_t deferredLines() const { return _deferred.size(); }
+
+    /** Lowest line in the deferred-request table (invalidAddr when
+     *  empty) — names an orphaned queue in teardown reports. */
+    Addr firstDeferredLine() const;
+
     /** Structured view of one in-flight directory transaction
      *  (crash report / transaction age watchdog). */
     struct TxnInfo
@@ -97,7 +114,9 @@ class LLCBank : public SimObject
     };
 
     /** Every entry in a transient state (incl. WritersBlock and the
-     *  eviction buffer), sorted by line for deterministic reports. */
+     *  eviction buffer) or with deferred requests, sorted by line
+     *  for deterministic reports. O(active lines): built from the
+     *  busy-line set, the eviction buffer and the deferred table. */
     std::vector<TxnInfo> transientInfos(Tick now_tick) const;
 
     /** Age of the oldest transient directory entry; 0 when all
@@ -152,7 +171,66 @@ class LLCBank : public SimObject
         bool evicting = false; //!< entry lives in the eviction buffer
         Tick busySince = 0;    //!< last transition into a transient
                                //!< state (transaction age watchdog)
-        std::deque<MsgPtr> deferred;
+    };
+
+    /** FIFO of parked requests: a vector with a read cursor, so a
+     *  queue that fills and drains reuses its storage and an empty
+     *  one owns no heap. */
+    class MsgFifo
+    {
+      public:
+        bool empty() const { return _head == _msgs.size(); }
+        std::size_t size() const { return _msgs.size() - _head; }
+        void push(MsgPtr m) { _msgs.push_back(std::move(m)); }
+
+        MsgPtr
+        pop()
+        {
+            MsgPtr m = std::move(_msgs[_head++]);
+            if (empty())
+                clear();
+            return m;
+        }
+
+        void
+        swap(MsgFifo &o) noexcept
+        {
+            _msgs.swap(o._msgs);
+            std::swap(_head, o._head);
+        }
+
+        /** Visit every queued message in FIFO order; keep those
+         *  for which @p keep returns true, in order. */
+        template <typename Fn>
+        void
+        retain(Fn keep)
+        {
+            std::size_t out = _head;
+            for (std::size_t i = _head; i < _msgs.size(); ++i) {
+                if (!keep(_msgs[i]))
+                    continue;
+                if (out != i)
+                    _msgs[out] = std::move(_msgs[i]);
+                ++out;
+            }
+            _msgs.resize(out);
+            if (empty())
+                clear();
+        }
+
+        auto begin() const { return _msgs.begin() + std::ptrdiff_t(_head); }
+        auto end() const { return _msgs.end(); }
+
+      private:
+        void
+        clear()
+        {
+            _msgs.clear();
+            _head = 0;
+        }
+
+        std::vector<MsgPtr> _msgs;
+        std::size_t _head = 0;
     };
 
     // request handlers
@@ -191,6 +269,11 @@ class LLCBank : public SimObject
     void finishTransaction(DirEntry &e, Addr line);
     void replayDeferred(Addr line);
 
+    /** Queue a copy of @p m behind its line's transaction. */
+    void defer(const CohMsg &m);
+    /** Requests deferred on @p line (0 when it has none). */
+    std::size_t deferredCount(Addr line) const;
+
     void grantRead(DirEntry &e, CohMsg &m, bool exclusive);
     void sendUData(const DataBlock &data, Addr line, int dst,
                    bool from_getu, Tick extra_lat = 0);
@@ -209,6 +292,9 @@ class LLCBank : public SimObject
 
     CacheArray<DirEntry> _array;
     std::unordered_map<Addr, DirEntry> _evbuf;
+    /** Deferred requests per line, in arrival order; a key exists
+     *  only while its queue is non-empty. */
+    std::unordered_map<Addr, MsgFifo> _deferred;
 
     /** Transaction-age candidates: every line that entered a
      *  transient state since the watchdog last saw it stable.
@@ -219,7 +305,8 @@ class LLCBank : public SimObject
 
     /** Record a transition into a transient directory state. */
     void noteBusy(Addr line) { _busyLines.insert(line); }
-    std::deque<MsgPtr> _retryQueue;
+    MsgFifo _retryQueue;
+    MsgFifo _retryDraining; //!< tick()'s swap partner (keeps capacity)
     std::uint64_t _txnCounter = 0;
     RecoveryConfig _recovery{};
     DedupFilter _dedup; //!< per-source duplicate-delivery filter

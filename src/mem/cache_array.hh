@@ -14,7 +14,10 @@
 
 #include <cassert>
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
+#include <span>
+#include <type_traits>
 
 #include "mem/addr.hh"
 #include "sim/bytes.hh"
@@ -28,7 +31,7 @@ namespace wb
  * Set-associative array of cache lines.
  *
  * @tparam Payload per-line state (coherence state, data, sharers...).
- *         Must be default constructible.
+ *         Must be default constructible and trivially copyable.
  */
 template <typename Payload>
 class CacheArray
@@ -41,6 +44,11 @@ class CacheArray
         std::uint64_t lru = 0;
         Payload line{};
     };
+    // An all-zero byte pattern is an invalid way, and no path reads
+    // an invalid way's payload (allocate() resets it), so the ways
+    // can start as calloc()'d pages.
+    static_assert(std::is_trivially_copyable_v<Way>,
+                  "cache payloads must be plain values");
 
     /**
      * @param size_bytes total capacity
@@ -55,11 +63,15 @@ class CacheArray
         : _assoc(assoc),
           _numSets(unsigned(size_bytes / (lineBytes * assoc))),
           _indexDivisor(index_divisor ? index_divisor : 1),
-          _ways(std::size_t(_numSets) * assoc)
+          _numWays(std::size_t(_numSets) * assoc)
     {
         if (_numSets == 0 || (_numSets & (_numSets - 1)) != 0)
             fatal("cache: number of sets (%u) must be a power of two",
                   _numSets);
+        _store.reset(
+            static_cast<Way *>(std::calloc(_numWays, sizeof(Way))));
+        if (!_store)
+            fatal("cache: cannot allocate %zu ways", _numWays);
         while ((1u << _setBits) < _numSets)
             ++_setBits;
     }
@@ -115,7 +127,7 @@ class CacheArray
         Way *free_way = nullptr;
         unsigned set = setIndex(line_addr);
         for (unsigned i = 0; i < _assoc; ++i) {
-            Way &w = _ways[std::size_t(set) * _assoc + i];
+            Way &w = ways()[std::size_t(set) * _assoc + i];
             if (!w.valid) {
                 free_way = &w;
                 break;
@@ -136,7 +148,7 @@ class CacheArray
         unsigned set =
             const_cast<CacheArray *>(this)->setIndex(line_addr);
         for (unsigned i = 0; i < _assoc; ++i) {
-            const Way &w = _ways[std::size_t(set) * _assoc + i];
+            const Way &w = ways()[std::size_t(set) * _assoc + i];
             if (!w.valid)
                 return false;
         }
@@ -156,7 +168,7 @@ class CacheArray
             const_cast<CacheArray *>(this)->setIndex(line_addr);
         const Way *best = nullptr;
         for (unsigned i = 0; i < _assoc; ++i) {
-            const Way &w = _ways[std::size_t(set) * _assoc + i];
+            const Way &w = ways()[std::size_t(set) * _assoc + i];
             if (!w.valid || !evictable(w.tag, w.line))
                 continue;
             if (!best || w.lru < best->lru)
@@ -179,7 +191,7 @@ class CacheArray
     void
     forEach(Fn fn)
     {
-        for (auto &w : _ways)
+        for (auto &w : ways())
             if (w.valid)
                 fn(w.tag, w.line);
     }
@@ -189,7 +201,7 @@ class CacheArray
     void
     forEach(Fn fn) const
     {
-        for (const auto &w : _ways)
+        for (const auto &w : ways())
             if (w.valid)
                 fn(w.tag, w.line);
     }
@@ -198,39 +210,53 @@ class CacheArray
     validLines() const
     {
         std::size_t n = 0;
-        for (const auto &w : _ways)
+        for (const auto &w : ways())
             n += w.valid;
         return n;
     }
 
     /** Snapshot witness: LRU clock plus every valid way in slot
      *  order (slot index, tag, lru stamp), payload encoded by
-     *  @p fn(writer, payload). Slot order is deterministic — the
-     *  way vector layout is itself simulated state. */
+     *  @p fn(writer, lineAddr, payload). Slot order is
+     *  deterministic — the way layout is itself simulated state. */
     template <typename Fn>
     void
     serializeState(ByteWriter &w, Fn fn) const
     {
         w.u64(_lruClock);
         w.u64(validLines());
-        for (std::size_t i = 0; i < _ways.size(); ++i) {
-            const Way &way = _ways[i];
+        const auto all = ways();
+        for (std::size_t i = 0; i < all.size(); ++i) {
+            const Way &way = all[i];
             if (!way.valid)
                 continue;
             w.u64(i);
             w.u64(way.tag);
             w.u64(way.lru);
-            fn(w, way.line);
+            fn(w, way.tag, way.line);
         }
     }
 
   private:
+    struct FreeWays
+    {
+        void operator()(Way *p) const { std::free(p); }
+    };
+
+    std::span<Way> ways() { return {_store.get(), _numWays}; }
+
+    std::span<const Way>
+    ways() const
+    {
+        return {_store.get(), _numWays};
+    }
+
     Way *
     findWay(Addr line_addr)
     {
         unsigned set = setIndex(line_addr);
         for (unsigned i = 0; i < _assoc; ++i) {
-            Way &w = _ways[std::size_t(set) * _assoc + i];
+            Way &w = ways()[std::size_t(set) * _assoc + i];
             if (w.valid && w.tag == line_addr)
                 return &w;
         }
@@ -241,7 +267,8 @@ class CacheArray
     unsigned _numSets;
     unsigned _indexDivisor;
     unsigned _setBits = 0;
-    std::vector<Way> _ways;
+    std::size_t _numWays;
+    std::unique_ptr<Way[], FreeWays> _store;
     std::uint64_t _lruClock = 0;
 };
 

@@ -651,6 +651,22 @@ System::cleanTeardown(std::string *why) const
             }
             return false;
         }
+        // Every deferred queue belongs to a listed entry, so a
+        // non-empty table here is an orphaned queue.
+        if (llc->deferredLines()) {
+            if (why) {
+                char buf[112];
+                std::snprintf(
+                    buf, sizeof(buf),
+                    "%s: deferred requests orphaned on %zu line(s), "
+                    "first 0x%llx",
+                    llc->name().c_str(), llc->deferredLines(),
+                    static_cast<unsigned long long>(
+                        llc->firstDeferredLine()));
+                *why = buf;
+            }
+            return false;
+        }
     }
     return true;
 }

@@ -116,6 +116,27 @@ TEST(CacheArray, ForEachVisitsAll)
     EXPECT_EQ(sum, 3);
 }
 
+TEST(CacheArray, AllocateStartsFromTheDefaultPayload)
+{
+    // Ways start as zero bytes, and a dropped way keeps its old
+    // payload bytes; allocate() must hand out Payload{} either way.
+    struct Line
+    {
+        int owner = -1;
+        std::uint64_t data = 7;
+    };
+    CacheArray<Line> c(1024, 2);
+    Line &fresh = c.allocate(0x000);
+    EXPECT_EQ(fresh.owner, -1);
+    EXPECT_EQ(fresh.data, 7u);
+    fresh.owner = 3;
+    fresh.data = 9;
+    c.erase(0x000);
+    Line &reused = c.allocate(0x000);
+    EXPECT_EQ(reused.owner, -1);
+    EXPECT_EQ(reused.data, 7u);
+}
+
 TEST(MainMemory, SparseDefaultZero)
 {
     MainMemory m;

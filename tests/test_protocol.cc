@@ -297,6 +297,77 @@ TEST(Protocol, LlcEvictionRecallsAndParksOnLockdown)
     EXPECT_EQ(rig.llc(home).evictionBufferUse(), 0u);
 }
 
+TEST(Protocol, DeferredRequestsFollowTheLineThroughTheEvictionBuffer)
+{
+    // One directory way per bank: any second line homed at A's bank
+    // must evict A's entry.
+    MemSystemConfig cfg;
+    cfg.llcBankSize = lineBytes;
+    cfg.llcAssoc = 1;
+    ProtocolRig rig(4, cfg);
+    const Addr line = lineOf(A);
+    const Addr other = line + 4 * lineBytes;
+    const BankId home = homeBank(line, 4);
+    ASSERT_EQ(homeBank(other, 4), home);
+    LLCBank &llc = rig.llc(home);
+
+    // Core 1 locks A down; core 0's write puts A in WritersBlock.
+    ASSERT_TRUE(rig.l1(1).issueLoad(1, A));
+    rig.run();
+    rig.core(1).invAnswer = InvResponse::Nack;
+    rig.core(1).lockHeld = true;
+    rig.l1(0).requestWritePermission(line);
+    rig.run();
+    ASSERT_TRUE(llc.inWritersBlock(line));
+
+    // Two more writers defer behind it, core 2 first.
+    rig.l1(2).requestWritePermission(line);
+    rig.run();
+    rig.l1(3).requestWritePermission(line);
+    rig.run();
+    auto infos = llc.transientInfos(rig.cycle);
+    ASSERT_EQ(infos.size(), 1u);
+    EXPECT_EQ(infos[0].deferred, 2u);
+    EXPECT_FALSE(infos[0].evbuf);
+
+    // A miss on the same set parks A, queue and all, in the eviction
+    // buffer (allocation pass 3).
+    ASSERT_TRUE(rig.l1(2).issueLoad(2, other));
+    rig.run();
+    ASSERT_EQ(rig.core(2).responses.size(), 1u);
+    EXPECT_EQ(llc.evictionBufferUse(), 1u);
+    infos = llc.transientInfos(rig.cycle);
+    ASSERT_EQ(infos.size(), 1u);
+    EXPECT_EQ(infos[0].line, line);
+    EXPECT_STREQ(infos[0].state, "WB");
+    EXPECT_EQ(infos[0].deferred, 2u);
+    EXPECT_TRUE(infos[0].evbuf);
+    EXPECT_EQ(llc.deferredLines(), 1u);
+
+    // The release lets core 0 finish; the entry is then recalled,
+    // evicted, and its deferred writes replay in arrival order.
+    rig.core(1).invAnswer = InvResponse::Ack;
+    rig.core(1).lockHeld = false;
+    rig.l1(1).lockdownLifted(line);
+    Tick core2_granted = 0;
+    Tick core3_granted = 0;
+    for (Tick i = 0; i < 3000; ++i) {
+        rig.run(1);
+        if (!core2_granted && rig.l1(2).hasWritePermission(line))
+            core2_granted = rig.cycle;
+        if (!core3_granted && rig.l1(3).hasWritePermission(line))
+            core3_granted = rig.cycle;
+    }
+    ASSERT_NE(core2_granted, 0u);
+    ASSERT_NE(core3_granted, 0u);
+    EXPECT_LT(core2_granted, core3_granted);
+    EXPECT_FALSE(rig.l1(2).hasWritePermission(line));
+    EXPECT_TRUE(rig.l1(3).hasWritePermission(line));
+    EXPECT_EQ(llc.deferredLines(), 0u);
+    EXPECT_EQ(llc.evictionBufferUse(), 0u);
+    EXPECT_TRUE(llc.transientInfos(rig.cycle).empty());
+}
+
 TEST(Protocol, WritebackDirtyLineReachesMemory)
 {
     MemSystemConfig cfg;
