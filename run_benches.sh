@@ -9,8 +9,7 @@ export WB_BENCH_SCALE
 for b in build/bench/table2_litmus build/bench/fig8_wb_rates \
          build/bench/fig9_overheads build/bench/fig10_ooo_commit \
          build/bench/ablation_evictions build/bench/ablation_ldt \
-         build/bench/ablation_prefetch build/bench/ablation_network \
-         build/bench/micro_components; do
+         build/bench/ablation_prefetch build/bench/ablation_network; do
     if [ ! -x "$b" ]; then
         echo "missing bench binary: $b (build first)" >&2
         continue

@@ -1,8 +1,8 @@
 /**
  * @file
  * Strict value parsers shared by every front end: the wbsim,
- * wbtrace, wbcampaign and wbperf flags and the campaign manifest
- * keys all read numbers through these. The whole string must be the
+ * wbtrace and wbcampaign flags and the campaign manifest keys all
+ * read numbers through these. The whole string must be the
  * number — "16x", "1e6", "-1", " 5" and "" are rejected, where
  * atoi/strtoull would silently read a prefix or wrap around.
  *

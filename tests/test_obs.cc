@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -20,7 +21,9 @@
 #include "sim/log.hh"
 #include "sim/stats.hh"
 #include "system/crash_report.hh"
+#include "system/report.hh"
 #include "system/system.hh"
+#include "workload/benchmarks.hh"
 #include "workload/litmus.hh"
 
 namespace wb
@@ -444,26 +447,57 @@ metricsConfig(Tick period)
 
 TEST(Metrics, OffByDefaultAndInvisibleToReports)
 {
-    Workload wl = makeLitmus(LitmusKind::Table1, 100);
-    System plain(obsConfig(0, 0), wl);
-    EXPECT_EQ(plain.metrics(), nullptr);
-    EXPECT_EQ(plain.metricsStream(), nullptr);
-    const SimResults rp = plain.run();
-
     // Same seed with the registry on: simulated results and the
     // stats dump must be byte-identical — gauges never enter the
-    // StatRegistry, so reports cannot see the metrics layer.
-    System on(metricsConfig(0), wl);
-    ASSERT_NE(on.metrics(), nullptr);
-    EXPECT_EQ(on.metricsStream(), nullptr); // no period, no stream
-    const SimResults ro = on.run();
+    // StatRegistry, so reports cannot see the metrics layer. Two
+    // inputs: table1 with the registry on but no stream, and the
+    // paper's 16-core machine on fft streaming a snapshot every 10k
+    // cycles into a callback sink.
+    SystemConfig paper;
+    paper.core = makeCoreConfig(CoreClass::SLM);
+    paper.checker = false;
+    paper.setMode(CommitMode::OooWB);
+    SystemConfig streaming = paper;
+    streaming.obs.metricsPeriod = 10'000;
+    const struct
+    {
+        Workload wl;
+        SystemConfig off, on;
+    } cases[] = {
+        {makeLitmus(LitmusKind::Table1, 100), obsConfig(0, 0),
+         metricsConfig(0)},
+        {makeBenchmark("fft", 16, 0.05), paper, streaming},
+    };
 
-    EXPECT_EQ(rp.cycles, ro.cycles);
-    EXPECT_EQ(rp.instructions, ro.instructions);
-    std::ostringstream dp, doo;
-    plain.stats().dump(dp);
-    on.stats().dump(doo);
-    EXPECT_EQ(dp.str(), doo.str());
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.wl.name);
+        System plain(c.off, c.wl);
+        EXPECT_EQ(plain.metrics(), nullptr);
+        EXPECT_EQ(plain.metricsStream(), nullptr);
+        const SimResults rp = plain.run();
+        EXPECT_TRUE(rp.completed);
+
+        const bool streams = c.on.obs.metricsPeriod > 0;
+        System on(c.on, c.wl);
+        ASSERT_NE(on.metrics(), nullptr);
+        EXPECT_EQ(on.metricsStream() != nullptr, streams);
+        std::uint64_t lines = 0;
+        if (on.metricsStream())
+            on.metricsStream()->setCallback(
+                [&lines](const MetricsSummary &, const std::string &) {
+                    ++lines;
+                });
+        const SimResults ro = on.run();
+        EXPECT_EQ(lines > 0, streams) << lines << " snapshot lines";
+
+        std::ostringstream rep, reo, dp, doo;
+        writeJsonReport(rep, c.wl.name, c.off, rp, nullptr);
+        writeJsonReport(reo, c.wl.name, c.off, ro, nullptr);
+        EXPECT_EQ(rep.str(), reo.str());
+        plain.stats().dump(dp);
+        on.stats().dump(doo);
+        EXPECT_EQ(dp.str(), doo.str());
+    }
 }
 
 TEST(Metrics, RegistryDescribesTypedSortedMetrics)

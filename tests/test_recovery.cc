@@ -279,11 +279,13 @@ TEST(RecoveryCampaign, VerifyEquivalenceIsWorkerCountInvariant)
     const CampaignResult r8 = run_with(8);
 
     EXPECT_EQ(r1.summary.ok, r1.summary.done);
-    for (const JobResult &r : r1.jobs)
-        if (r.equivalenceChecked)
+    for (const JobResult &r : r1.jobs) {
+        if (r.equivalenceChecked) {
             EXPECT_TRUE(r.equivalenceMatch)
                 << r.spec.mixName << "/s" << r.spec.seed << ": "
                 << r.equivalenceDetail;
+        }
+    }
     EXPECT_EQ(r1.summary.equivalenceMismatches, 0u);
     EXPECT_EQ(r8.summary.equivalenceMismatches, 0u);
     // Every faulted job that completed was equivalence-checked.

@@ -87,8 +87,8 @@ TEST(Report, SameSeedRunsAreByteIdentical)
 {
     // Determinism pin: two fresh systems over the same (workload,
     // seed, config) must produce byte-identical JSON reports, stats
-    // included. This is what makes wbperf's fingerprint comparison
-    // against a pre-change baseline meaningful.
+    // included. This is what makes wbbench's fingerprint pins
+    // (wbbench/pins.json) meaningful.
     SyntheticParams p;
     p.iterations = 40;
     p.bodyOps = 24;
