@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include "campaign/campaign_aggregator.hh"
-#include "campaign/job_journal.hh"
 #include "campaign/result_cache.hh"
 #include "campaign/worker_pool.hh"
 #include "obs/perfetto.hh"
@@ -287,44 +286,19 @@ CampaignRunner::run()
     std::atomic<bool> finished{false};
     std::atomic<std::size_t> cache_hits{0};
     std::atomic<std::size_t> cache_misses{0};
-    std::atomic<std::size_t> journaled_n{0};
+    std::atomic<std::size_t> replayed{0};
 
     auto stopRequested = [this] {
         return _opts.stopFlag &&
                _opts.stopFlag->load(std::memory_order_relaxed);
     };
 
-    // Write-ahead journal: header first, then one fsynced record
-    // per finished job (job_journal.hh).
-    JobJournal journal;
-    if (!_opts.journalPath.empty()) {
-        JournalHeader hdr = _opts.journalHeader;
-        hdr.specFingerprint = jobListFingerprint(jobs);
-        hdr.jobCount = jobs.size();
-        std::string jerr;
-        if (!journal.open(_opts.journalPath, hdr, jerr))
-            fatal("campaign: %s", jerr.c_str());
-    }
-
-    // Replay results recorded before an interruption: slot them in
-    // by index, count them, and re-journal them so a re-interrupted
-    // resume is itself resumable from the fresh journal.
-    std::vector<char> done(jobs.size(), 0);
-    if (_opts.preloaded) {
-        for (const JobResult &r : *_opts.preloaded) {
-            const std::size_t i = r.spec.index;
-            if (i >= jobs.size() || done[i])
-                continue;
-            out.jobs[i] = r;
-            done[i] = 1;
-            journaled_n.fetch_add(1, std::memory_order_relaxed);
-            agg.record(out.jobs[i]);
-            journal.append(out.jobs[i]);
-        }
-    }
-
     const ResultCache cache(_opts.cacheDir);
     const bool use_cache = !_opts.cacheDir.empty();
+    // Run records: every finished job, any verdict, under
+    // OUT/jobs/. A job whose record is there is replayed.
+    const ResultCache records(_opts.outDir + "/jobs");
+    const bool use_records = !_opts.outDir.empty();
 
     // Live telemetry: one emit closure shared by every executor
     // (worker threads, the supervisor's frame loop, the degraded
@@ -379,53 +353,28 @@ CampaignRunner::run()
                                   std::max<std::size_t>(
                                       jobs.size(), 1)));
 
-    // Content-addressed cache probe: key the job by the
-    // fingerprints of the config + workload it would run
-    // (result_cache.hh). Key construction failures fall through to
-    // normal execution, which classifies them. On a hit the entry
-    // is re-homed on this job (index/paths are positional, not part
-    // of the result). The thread backend calls this from worker
-    // threads; the process backend from the supervisor only.
-    auto tryCacheFn = [&](std::size_t i, JobResult &res,
-                          std::string &key) -> bool {
-        if (!use_cache)
-            return false;
-        try {
-            key = ResultCache::keyString(_spec, jobs[i],
-                                         _opts.verifyEquivalence);
-        } catch (...) {
-        }
-        JobResult cached;
-        if (key.empty() || !cache.lookup(key, cached))
-            return false;
-        cached.spec = jobs[i];
-        cached.crashReportPath.clear();
-        if (!cached.crashJson.empty() && !_opts.outDir.empty()) {
-            const std::string path =
-                _opts.outDir + "/crash-job" +
-                std::to_string(jobs[i].index) + ".json";
-            std::ofstream f(path);
-            if (f) {
-                f << cached.crashJson;
-                if (f.good())
-                    cached.crashReportPath = path;
-            }
-        }
-        res = std::move(cached);
-        return true;
+    // Commit one finished result: result slot, run record, cache
+    // store, aggregate — the single bookkeeping path both backends
+    // share, so their aggregates cannot drift. Each slot is
+    // committed exactly once; concurrent callers (thread backend)
+    // are safe because agg locks internally, every store writes its
+    // own file, and a slot and its key belong to the one thread
+    // that claimed the job.
+    enum class From { Run, Cache, Record };
+    std::vector<std::string> keys(jobs.size());
+    auto recordKey = [&keys](std::size_t i) {
+        return "job=" + std::to_string(i) + " " + keys[i];
     };
-
-    // Commit one finished result: result slot, cache store,
-    // aggregate, journal, done[] — the single bookkeeping path both
-    // backends share, so their aggregates cannot drift. Each slot
-    // is committed exactly once; concurrent callers (thread
-    // backend) are safe because agg/journal lock internally.
-    auto commitFn = [&](std::size_t i, JobResult &&res,
-                        const std::string &key, bool from_cache) {
+    auto commitFn = [&](std::size_t i, JobResult &&res, From from) {
         out.jobs[i] = std::move(res);
-        if (from_cache) {
+        const std::string &key = keys[i];
+        if (from == From::Record)
+            replayed.fetch_add(1, std::memory_order_relaxed);
+        else if (use_records && !key.empty())
+            records.store(recordKey(i), out.jobs[i]);
+        if (from == From::Cache) {
             cache_hits.fetch_add(1, std::memory_order_relaxed);
-        } else if (use_cache) {
+        } else if (from == From::Run && use_cache) {
             cache_misses.fetch_add(1, std::memory_order_relaxed);
             // Never cache infra failures: they describe the host
             // (OOM, fs trouble, a poisoned worker), not the job.
@@ -433,9 +382,48 @@ CampaignRunner::run()
                 cache.store(key, out.jobs[i]);
         }
         agg.record(out.jobs[i]);
-        journal.append(out.jobs[i]);
-        journaled_n.fetch_add(1, std::memory_order_relaxed);
-        done[i] = 1;
+    };
+
+    // Reuse probe, called before a job is executed: key the job by
+    // the fingerprints of the config + workload it would run
+    // (result_cache.hh), then look for its run record, then for a
+    // shared cache entry. Key construction failures fall through to
+    // normal execution, which classifies them (such a job is not
+    // recorded; a resume re-runs it to the same verdict). A hit is
+    // re-homed on this job (index/paths are positional, not part of
+    // the result) and committed. The thread backend calls this from
+    // worker threads; the process backend from the supervisor only.
+    auto reuseFn = [&](std::size_t i) -> bool {
+        if (!use_cache && !use_records)
+            return false;
+        try {
+            keys[i] = ResultCache::keyString(_spec, jobs[i],
+                                             _opts.verifyEquivalence);
+        } catch (...) {
+            return false;
+        }
+        JobResult hit;
+        From from = From::Record;
+        if (!use_records || !records.lookup(recordKey(i), hit)) {
+            from = From::Cache;
+            if (!use_cache || !cache.lookup(keys[i], hit))
+                return false;
+        }
+        hit.spec = jobs[i];
+        hit.crashReportPath.clear();
+        if (!hit.crashJson.empty() && !_opts.outDir.empty()) {
+            const std::string path =
+                _opts.outDir + "/crash-job" +
+                std::to_string(jobs[i].index) + ".json";
+            std::ofstream f(path);
+            if (f) {
+                f << hit.crashJson;
+                if (f.good())
+                    hit.crashReportPath = path;
+            }
+        }
+        commitFn(i, std::move(hit), from);
+        return true;
     };
 
     auto worker = [&] {
@@ -446,20 +434,14 @@ CampaignRunner::run()
                 next.fetch_add(1, std::memory_order_relaxed);
             if (i >= jobs.size())
                 return;
-            if (done[i]) // replayed from the resume journal
-                continue;
             busy.fetch_add(1, std::memory_order_relaxed);
-            JobResult res;
-            std::string key;
-            if (tryCacheFn(i, res, key))
-                commitFn(i, std::move(res), key, true);
-            else
+            if (!reuseFn(i))
                 commitFn(i,
                          runCampaignJob(_spec, jobs[i],
                                         _opts.outDir,
                                         _opts.verifyEquivalence,
                                         telep),
-                         key, false);
+                         From::Run);
             busy.fetch_sub(1, std::memory_order_relaxed);
         }
     };
@@ -516,12 +498,15 @@ CampaignRunner::run()
 
     if (_opts.process.enabled) {
         // Process-isolated backend (worker_pool.hh): execution
-        // moves into forked workers, but cache/aggregate/journal
+        // moves into forked workers, but record/cache/aggregate
         // bookkeeping stays right here via the same callbacks the
         // thread backend uses — aggregates remain byte-identical.
-        const WorkerPoolStats pst =
-            runWorkerPool(_spec, jobs, done, _opts, nworkers, busy,
-                          tryCacheFn, commitFn, telep);
+        const WorkerPoolStats pst = runWorkerPool(
+            _spec, jobs, _opts, nworkers, busy, reuseFn,
+            [&](std::size_t i, JobResult &&res) {
+                commitFn(i, std::move(res), From::Run);
+            },
+            telep);
         out.workerRestarts = pst.workerRestarts;
         out.workerCrashes = pst.workerCrashes;
         out.jobTimeouts = pst.jobTimeouts;
@@ -547,15 +532,11 @@ CampaignRunner::run()
         reporter.join();
     }
 
-    journal.close();
-
     out.summary = agg.summary();
     out.wallSeconds = elapsed();
     out.cacheHits = cache_hits.load();
     out.cacheMisses = cache_misses.load();
-    out.journaled = _opts.journalPath.empty()
-                        ? 0
-                        : journaled_n.load();
+    out.replayed = replayed.load();
     out.interrupted =
         stopRequested() && out.summary.done < out.summary.total;
     return out;

@@ -88,9 +88,11 @@ struct JobResult
     std::string equivalenceDetail; //!< first divergence ("" = match)
 };
 
-/** Everything needed to rebuild the campaign on --resume; written
- *  as the journal header (see job_journal.hh for the file format). */
-struct JournalHeader
+/** Everything needed to rebuild a campaign spec from text: what a
+ *  process-backend worker receives in its Init frame, and what
+ *  `wbcampaign --out DIR` writes to DIR/campaign.wbc so that
+ *  `--resume DIR` needs nothing but the directory (job_codec.hh). */
+struct SpecDescriptor
 {
     /** "manifest" (specText = manifest contents) or "builtin"
      *  (specText = builtin name). */
@@ -103,11 +105,6 @@ struct JournalHeader
     bool verifyEquivalence = false;
     bool checkFaults = false;
     bool strict = false;
-
-    /** Fingerprint of the expanded job list; resume refuses a
-     *  journal whose jobs do not match the rebuilt spec. */
-    std::uint64_t specFingerprint = 0;
-    std::uint64_t jobCount = 0;
 };
 
 /** Order-independent campaign tallies (live and final). */
@@ -145,10 +142,9 @@ struct CampaignResult
     // JSON/CSV — a resumed or cache-assisted campaign must stay
     // byte-identical to an uninterrupted cold one — they go to the
     // durability.json sidecar and stderr instead.
-    bool interrupted = false;  //!< stop flag fired; job list is
-                               //!< partial (jobs[] has empty slots)
-    std::size_t journaled = 0; //!< records written to the journal
-                               //!< (replayed + freshly executed)
+    bool interrupted = false; //!< stop flag fired; job list is
+                              //!< partial (jobs[] has empty slots)
+    std::size_t replayed = 0; //!< jobs taken from OUT/jobs records
     std::size_t cacheHits = 0;
     std::size_t cacheMisses = 0;
 
@@ -229,8 +225,13 @@ class CampaignRunner
     {
         /** Worker threads; 0 = one per hardware thread. */
         int jobs = 0;
-        /** Directory for crash-report files; "" = keep them only
-         *  in-memory (JobResult::crashJson). */
+        /** Run directory; "" = keep crash reports only in memory
+         *  (JobResult::crashJson). Holds the crash-report files and
+         *  jobs/, a result record per finished job (every verdict,
+         *  quarantines included). A job whose record is already
+         *  there is replayed, not re-run: that is how a killed or
+         *  interrupted campaign resumes. Start a fresh run in a
+         *  fresh directory (wbcampaign --out empties jobs/). */
         std::string outDir;
         /** Live progress line (jobs done/total, ETA, worker
          *  occupancy) on @c progressStream. Auto-degrades to
@@ -244,25 +245,15 @@ class CampaignRunner
 
         /** Cooperative stop (signal handler sets it): workers stop
          *  claiming new jobs, in-flight jobs drain and are
-         *  journaled, run() returns with interrupted = true. */
+         *  recorded, run() returns with interrupted = true. */
         const std::atomic<bool> *stopFlag = nullptr;
-        /** Write-ahead journal path; "" = no journal. Each finished
-         *  job is appended and fsynced (job_journal.hh). */
-        std::string journalPath;
-        /** Journal header to write when journalPath is set; the
-         *  runner fills specFingerprint/jobCount itself. */
-        JournalHeader journalHeader;
-        /** Already-finished results replayed from a --resume
-         *  journal; matched to jobs by spec fingerprint + index and
-         *  not re-run (they are re-journaled into the fresh
-         *  journal so a re-interrupted resume stays resumable). */
-        const std::vector<JobResult> *preloaded = nullptr;
         /** Content-addressed result cache directory; "" = off. */
         std::string cacheDir;
-        /** Process-isolated execution backend; when enabled the
-         *  journal header doubles as the worker spec description,
-         *  so specKind/specText must be set. */
+        /** Process-isolated execution backend; its workers rebuild
+         *  the spec from @c descriptor, so specKind/specText must be
+         *  set when it is enabled. */
         ProcessPoolOptions process;
+        SpecDescriptor descriptor;
 
         /** Live telemetry: per-job NDJSON snapshot streams (and
          *  exposition sidecars) under this directory, plus an

@@ -1,6 +1,8 @@
 /**
  * @file
- * Pipe framing for the process-isolated campaign backend.
+ * The campaign layer's byte formats: job records, the pipe framing
+ * of the process-isolated backend, and the run directory's spec
+ * descriptor.
  *
  * The supervisor (wbcampaign) and its worker processes
  * (`wbcampaign --worker`) exchange messages over two pipes per
@@ -8,15 +10,16 @@
  *
  *   [u32 type] [u64 len] [u64 fnv] [payload]
  *
- * Payloads reuse the bit-exact durability codecs: the worker
- * initialisation frame carries the same JournalHeader a --resume
- * journal embeds (enough to rebuild the campaign spec from text),
- * and finished jobs travel as encodeJobResult() bytes — the exact
- * encoding the journal and the result cache already round-trip.
- * A frame that fails its length or checksum means the stream is
- * garbage (a worker died mid-write, or wrote to the wrong fd); the
- * reader throws ByteCodecError and the supervisor treats the worker
- * as crashed.
+ * Payloads reuse the bit-exact codecs: the worker initialisation
+ * frame carries a SpecDescriptor (enough to rebuild the campaign
+ * spec from text), and finished jobs travel as encodeJobResult()
+ * bytes, the exact encoding of a result-cache entry. The same
+ * descriptor, framed the same way, is the run directory's
+ * campaign.wbc, so `wbcampaign --resume DIR` rebuilds the spec the
+ * way a worker does. A frame that fails its length or checksum means
+ * the stream is garbage (a worker died mid-write, or wrote to the
+ * wrong fd); the reader throws ByteCodecError and the supervisor
+ * treats the worker as crashed.
  *
  * Frames from a worker are written under a mutex (the heartbeat
  * thread shares the result pipe with the job loop), so a frame is
@@ -46,6 +49,7 @@ enum class WireType : std::uint32_t
     JobDone = 5,   //!< worker -> supervisor: encodeJobResult bytes
     Shutdown = 6,  //!< supervisor -> worker: drain and exit
     Telemetry = 7, //!< worker -> supervisor: TelemetryFrame bytes
+    Descriptor = 8, //!< campaign.wbc's one frame (never on a pipe)
 };
 
 /** Wire protocol version; Hello carries it so a stale binary
@@ -59,12 +63,22 @@ struct WireFrame
     std::vector<unsigned char> payload;
 };
 
+/** Bit-exact JobResult codec (cache entries, run records, and
+ *  JobDone frames). */
+void encodeJobResult(ByteWriter &w, const JobResult &res);
+JobResult decodeJobResult(ByteReader &r); //!< throws ByteCodecError
+
+/** Fingerprint the expanded job list (axes + seeds per job). */
+std::uint64_t jobListFingerprint(const std::vector<JobSpec> &jobs);
+
 /** Everything a worker needs before it can accept jobs: a spec
- *  description it can rebuild (same shape the journal header uses),
+ *  description it can rebuild, the job list it must rebuild to,
  *  plus the supervision knobs that live worker-side. */
 struct WorkerInit
 {
-    JournalHeader spec; //!< specKind/specText/overrides/fingerprint
+    SpecDescriptor spec;
+    std::uint64_t jobCount = 0;       //!< supervisor's job list...
+    std::uint64_t jobFingerprint = 0; //!< ...and its fingerprint
     std::string outDir;
     std::string chaos;             //!< --chaos-worker spec ("" = off)
     std::uint64_t memLimitMb = 0;  //!< RLIMIT_AS; 0 = unlimited
@@ -91,13 +105,16 @@ struct TelemetryFrame
 void encodeTelemetryFrame(ByteWriter &w, const TelemetryFrame &t);
 TelemetryFrame decodeTelemetryFrame(ByteReader &r);
 
-/** JournalHeader byte codec (shared with job_journal.cc so the Init
- *  frame and the journal header are the same encoding). */
-void encodeJournalHeader(ByteWriter &w, const JournalHeader &h);
-JournalHeader decodeJournalHeader(ByteReader &r);
+void encodeSpecDescriptor(ByteWriter &w, const SpecDescriptor &d);
+SpecDescriptor decodeSpecDescriptor(ByteReader &r);
 
 void encodeWorkerInit(ByteWriter &w, const WorkerInit &init);
 WorkerInit decodeWorkerInit(ByteReader &r); //!< throws ByteCodecError
+
+/** One whole frame's bytes: header, checksum, payload. */
+std::vector<unsigned char> frameBytes(WireType type,
+                                      const unsigned char *payload,
+                                      std::size_t len);
 
 /** Write one whole frame to @p fd (loops over partial writes).
  *  @return false on any write error (EPIPE after a worker death —
@@ -105,6 +122,24 @@ WorkerInit decodeWorkerInit(ByteReader &r); //!< throws ByteCodecError
 bool writeFrame(int fd, WireType type, const unsigned char *payload,
                 std::size_t len);
 bool writeFrame(int fd, WireType type, const ByteWriter &payload);
+
+/** Durably replace @p path with @p data: write the private file
+ *  @p tmp, fsync it, rename it over @p path, fsync the directory.
+ *  A crash at any point leaves the old file or the new one (plus at
+ *  worst a stray @p tmp), never a torn one. @return false on any
+ *  I/O error. */
+bool writeFileDurably(const std::string &path, const std::string &tmp,
+                      const std::vector<unsigned char> &data);
+
+/** Write @p desc as DIR/campaign.wbc: one Descriptor frame, durably.
+ *  @return false with @p err set on I/O failure. */
+bool writeSpecDescriptor(const std::string &dir,
+                         const SpecDescriptor &desc, std::string &err);
+
+/** Read DIR/campaign.wbc back. @return false with @p err set when
+ *  the file is missing, truncated, corrupt or not a descriptor. */
+bool loadSpecDescriptor(const std::string &dir, SpecDescriptor &desc,
+                        std::string &err);
 
 /** Incremental frame parser over bytes read from a pipe. */
 class FrameReader

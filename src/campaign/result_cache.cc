@@ -8,7 +8,7 @@
 
 #include <unistd.h>
 
-#include "campaign/job_journal.hh"
+#include "campaign/job_codec.hh"
 #include "snapshot/system_state.hh"
 
 namespace wb
@@ -124,23 +124,24 @@ ResultCache::store(const std::string &key,
     // and the main threads of forked siblings can hash identically.
     // Racing writers then each build a private tmp file and the
     // rename stays atomic — the entry is always one writer's
-    // complete bytes.
+    // complete bytes, and the fsyncs make it survive power loss.
     const std::string tmp =
         path + ".tmp." + std::to_string(std::uint64_t(::getpid())) +
         "." +
         std::to_string(std::uint64_t(
             std::hash<std::thread::id>{}(
                 std::this_thread::get_id())));
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        return;
-    const bool ok =
-        std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-    std::fclose(f);
-    if (ok)
-        std::filesystem::rename(tmp, path, ec);
-    if (!ok || ec)
-        std::filesystem::remove(tmp, ec);
+    writeFileDurably(path, tmp, buf);
+}
+
+void
+ResultCache::clear() const
+{
+    std::error_code ec;
+    for (const auto &e : std::filesystem::directory_iterator(_dir, ec))
+        if (e.path().filename().string().find(".wbjob") !=
+            std::string::npos)
+            std::filesystem::remove(e.path(), ec);
 }
 
 } // namespace wb

@@ -12,10 +12,16 @@
  * schema change invalidates every stale entry at once.
  *
  * Entries are one file per key under the cache directory, written
- * atomically (tmp + rename) so concurrent campaigns can share a
- * cache. Each entry echoes its full key string; a hash collision is
- * detected by the echo comparison and treated as a miss, never as a
- * wrong result.
+ * atomically and durably (tmp + fsync + rename + directory fsync),
+ * so concurrent campaigns can share a cache and a kill or power loss
+ * never leaves a torn entry. Each entry echoes its full key string;
+ * a hash collision is detected by the echo comparison and treated as
+ * a miss, never as a wrong result.
+ *
+ * A run directory's jobs/ is a run-private instance of the same
+ * store, keyed "job=<index> " + keyString(): it holds every finished
+ * job, which is what `wbcampaign --resume` replays
+ * (campaign_runner.hh).
  */
 
 #ifndef WB_CAMPAIGN_RESULT_CACHE_HH
@@ -55,9 +61,13 @@ class ResultCache
     /** @return true and fill @p out on a verified hit. */
     bool lookup(const std::string &key, JobResult &out) const;
 
-    /** Store @p res under @p key (atomic; errors are ignored — the
-     *  cache is an optimisation, never load-bearing). */
+    /** Store @p res under @p key (atomic and durable; errors are
+     *  ignored — a missing entry only means the job runs again). */
     void store(const std::string &key, const JobResult &res) const;
+
+    /** Remove every entry (and stray tmp file); other files in the
+     *  directory are left alone. */
+    void clear() const;
 
     const std::string &dir() const { return _dir; }
 

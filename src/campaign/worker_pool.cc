@@ -23,7 +23,6 @@
 
 #include "campaign/fault_invariants.hh"
 #include "campaign/job_codec.hh"
-#include "campaign/job_journal.hh"
 #include "sim/log.hh"
 #include "sim/parse.hh"
 
@@ -35,7 +34,7 @@ namespace wb
 // ---------------------------------------------------------------
 
 bool
-buildCampaignSpec(const JournalHeader &desc, CampaignSpec &out,
+buildCampaignSpec(const SpecDescriptor &desc, CampaignSpec &out,
                   std::string &err)
 {
     if (desc.specKind == "builtin") {
@@ -281,8 +280,8 @@ campaignWorkerMain()
         return 3;
     }
     const std::vector<JobSpec> jobs = spec.expand();
-    if (jobs.size() != init.spec.jobCount ||
-        jobListFingerprint(jobs) != init.spec.specFingerprint) {
+    if (jobs.size() != init.jobCount ||
+        jobListFingerprint(jobs) != init.jobFingerprint) {
         std::fprintf(stderr,
                      "wbcampaign worker: rebuilt job list does not "
                      "match the supervisor's\n");
@@ -410,7 +409,6 @@ struct Worker
     bool helloSeen = false;
     bool busy = false;
     std::size_t job = 0;
-    std::string key; //!< cache key of the in-flight job
     SteadyClock::time_point jobStart;
     SteadyClock::time_point lastBeat;
     /** Last Telemetry frame (telemetry mode only); a busy worker
@@ -438,24 +436,22 @@ struct Worker
 WorkerPoolStats
 runWorkerPool(const CampaignSpec &spec,
               const std::vector<JobSpec> &jobs,
-              const std::vector<char> &done,
               const CampaignRunner::Options &opts, int nworkers,
-              std::atomic<int> &busy, const PoolCacheFn &tryCache,
+              std::atomic<int> &busy, const PoolReuseFn &reuse,
               const PoolCommitFn &commit,
               const TelemetryHooks *telemetry)
 {
     WorkerPoolStats st;
     const ProcessPoolOptions &P = opts.process;
 
-    if (opts.journalHeader.specKind != "builtin" &&
-        opts.journalHeader.specKind != "manifest")
+    if (opts.descriptor.specKind != "builtin" &&
+        opts.descriptor.specKind != "manifest")
         fatal("process backend needs a builtin or manifest spec "
-              "description (Options::journalHeader)");
+              "description (Options::descriptor)");
 
     std::deque<std::size_t> pending;
     for (std::size_t i = 0; i < jobs.size(); ++i)
-        if (!done[i])
-            pending.push_back(i);
+        pending.push_back(i);
     if (pending.empty())
         return st;
 
@@ -466,13 +462,13 @@ runWorkerPool(const CampaignSpec &spec,
     if (stopRequested())
         return st;
 
-    // The Init frame: the same spec description --resume journals
-    // carry, so workers rebuild the supervisor's exact job list
-    // (and refuse to run if they cannot).
+    // The Init frame: the same spec description a run directory's
+    // campaign.wbc holds, so workers rebuild the supervisor's exact
+    // job list (and refuse to run if they cannot).
     WorkerInit init;
-    init.spec = opts.journalHeader;
-    init.spec.specFingerprint = jobListFingerprint(jobs);
-    init.spec.jobCount = jobs.size();
+    init.spec = opts.descriptor;
+    init.jobFingerprint = jobListFingerprint(jobs);
+    init.jobCount = jobs.size();
     init.spec.verifyEquivalence = opts.verifyEquivalence;
     init.outDir = opts.outDir;
     init.chaos = P.chaos;
@@ -605,7 +601,7 @@ runWorkerPool(const CampaignSpec &spec,
                     r.crashReportPath = path;
             }
         }
-        commit(i, std::move(r), "", false);
+        commit(i, std::move(r));
         ++st.quarantined;
     };
 
@@ -778,7 +774,7 @@ runWorkerPool(const CampaignSpec &spec,
                     consec_kills.erase(i);
                     if (res.verdict == "job-oom")
                         ++st.jobOoms;
-                    commit(i, std::move(res), wk.key, false);
+                    commit(i, std::move(res));
                     break;
                 }
                 default:
@@ -825,21 +821,11 @@ runWorkerPool(const CampaignSpec &spec,
                 continue;
             while (!pending.empty()) {
                 const std::size_t i = pending.front();
-                if (done[i]) {
-                    pending.pop_front();
-                    continue;
-                }
-                JobResult cached;
-                std::string key;
-                if (tryCache(i, cached, key)) {
-                    pending.pop_front();
-                    commit(i, std::move(cached), key, true);
-                    continue;
-                }
                 pending.pop_front();
+                if (reuse(i))
+                    continue;
                 wk.busy = true;
                 wk.job = i;
-                wk.key = key;
                 wk.jobStart = SteadyClock::now();
                 wk.lastTelemetry = wk.jobStart;
                 busy.fetch_add(1, std::memory_order_relaxed);
@@ -901,22 +887,16 @@ runWorkerPool(const CampaignSpec &spec,
             while (!pending.empty() && !stopRequested()) {
                 const std::size_t i = pending.front();
                 pending.pop_front();
-                if (done[i])
+                if (reuse(i))
                     continue;
-                JobResult res;
-                std::string key;
-                if (tryCache(i, res, key)) {
-                    commit(i, std::move(res), key, true);
-                    continue;
-                }
                 busy.fetch_add(1, std::memory_order_relaxed);
-                res = runCampaignJob(spec, jobs[i], opts.outDir,
-                                     opts.verifyEquivalence,
-                                     telemetry);
+                JobResult res = runCampaignJob(
+                    spec, jobs[i], opts.outDir,
+                    opts.verifyEquivalence, telemetry);
                 busy.fetch_sub(1, std::memory_order_relaxed);
                 ++st.inProcessJobs;
                 consec_kills.erase(i);
-                commit(i, std::move(res), key, false);
+                commit(i, std::move(res));
             }
             continue;
         }

@@ -4,8 +4,8 @@
  *
  * The thread backend (campaign_runner.cc) gives per-job *crash
  * classification*, but a real segfault, OOM kill, or runaway loop in
- * any worker still takes the whole campaign with it — only the
- * write-ahead journal saves the finished work. This backend moves
+ * any worker still takes the whole campaign with it — only the run
+ * directory's job records save the finished work. This backend moves
  * job execution into separate processes so the campaign survives
  * anything a job can do:
  *
@@ -13,7 +13,7 @@
  *     command pipe on fd 3, result pipe on fd 4) and drives them
  *     from a single poll() loop. Jobs and JobResults travel as
  *     checksummed frames over the pipes (job_codec.hh) using the
- *     same bit-exact codec as the journal and the result cache.
+ *     same bit-exact codec as the result cache and the run records.
  *   - A worker that dies is reaped and classified from its wait
  *     status: killed by the per-job deadline or heartbeat loss ->
  *     "job-timeout" (exit taxonomy 3, like a deadlock); killed by a
@@ -25,16 +25,16 @@
  *     worker. A job that kills poisonThreshold consecutive workers
  *     is quarantined: recorded as a classified failure with a
  *     synthesized crash report, never retried (not even by
- *     --resume: the quarantine record is journaled like any other
- *     result).
+ *     --resume: the quarantine is recorded in the run directory
+ *     like any other result).
  *   - Dead workers are respawned with exponential backoff, bounded
  *     per slot and per campaign. When the budget runs out the pool
  *     degrades instead of failing: remaining jobs drain on the
  *     surviving workers, or — with no workers left — in-process as
  *     a last resort. Degradations are counted, not fatal.
  *
- * Journal appends, cache lookups/stores, and aggregation all stay
- * on the supervisor side, so resume semantics and the byte-identical
+ * Record and cache lookups/stores and aggregation all stay on the
+ * supervisor side, so resume semantics and the byte-identical
  * aggregate guarantee carry over from the thread backend unchanged.
  */
 
@@ -64,13 +64,13 @@ struct WorkerPoolStats
     std::size_t inProcessJobs = 0;
 };
 
-/** Rebuild a campaign spec from its journal-header description
- *  ("builtin" name or embedded manifest text, plus the CLI
- *  overrides). Shared by `wbcampaign --resume` and the worker
- *  processes so both reconstruct exactly the supervisor's job list.
+/** Rebuild a campaign spec from its descriptor ("builtin" name or
+ *  embedded manifest text, plus the CLI overrides). Shared by
+ *  wbcampaign (fresh and --resume) and the worker processes so all
+ *  reconstruct exactly the supervisor's job list.
  *  @return false with @p err set on an unknown builtin or a
  *  manifest parse/validation error. */
-bool buildCampaignSpec(const JournalHeader &desc, CampaignSpec &out,
+bool buildCampaignSpec(const SpecDescriptor &desc, CampaignSpec &out,
                        std::string &err);
 
 /** Validate/parse a --chaos-worker spec: "[once:]MODE@JOBINDEX",
@@ -80,20 +80,18 @@ bool buildCampaignSpec(const JournalHeader &desc, CampaignSpec &out,
 bool parseChaosSpec(const std::string &spec, std::string &mode,
                     std::size_t &index, bool &once);
 
-/** Callbacks the runner lends the pool. tryCache fills @p res (and
- *  always the cache @p key, when caching is on) and returns true on
- *  a hit; commit takes ownership of a finished result (cache store,
- *  aggregate, journal, done[] bookkeeping). Both are called only
- *  from the supervisor thread. */
-using PoolCacheFn =
-    std::function<bool(std::size_t, JobResult &, std::string &)>;
-using PoolCommitFn = std::function<void(
-    std::size_t, JobResult &&, const std::string &, bool)>;
+/** Callbacks the runner lends the pool. reuse is asked first for
+ *  every job: it commits a run record or cache hit itself and
+ *  returns true, or returns false and the job is executed. commit
+ *  takes ownership of an executed (or quarantined) result: record
+ *  and cache stores, aggregate. Both are called only from the
+ *  supervisor thread. */
+using PoolReuseFn = std::function<bool(std::size_t)>;
+using PoolCommitFn = std::function<void(std::size_t, JobResult &&)>;
 
-/** Execute every not-yet-done job on a supervised pool of worker
- *  processes. Blocks until all jobs are committed or the stop flag
- *  drained the pool. @p done marks jobs preloaded from a resume
- *  journal.
+/** Execute every job on a supervised pool of worker processes.
+ *  Blocks until all jobs are committed or the stop flag drained the
+ *  pool.
  *
  *  With @p telemetry enabled, workers stream Telemetry frames
  *  (job_codec.hh) that the supervisor routes into the hooks' emit —
@@ -105,10 +103,9 @@ using PoolCommitFn = std::function<void(
  *  thread still beats. */
 WorkerPoolStats runWorkerPool(const CampaignSpec &spec,
                               const std::vector<JobSpec> &jobs,
-                              const std::vector<char> &done,
                               const CampaignRunner::Options &opts,
                               int nworkers, std::atomic<int> &busy,
-                              const PoolCacheFn &tryCache,
+                              const PoolReuseFn &reuse,
                               const PoolCommitFn &commit,
                               const TelemetryHooks *telemetry =
                                   nullptr);

@@ -48,7 +48,6 @@ FuncSim::step()
         return false;
     int t = live[_rng.below(live.size())];
     execOne(t, _threads[std::size_t(t)]);
-    ++_retired;
     return true;
 }
 

@@ -40,7 +40,6 @@ class FuncSim
 
     std::uint64_t readMem(Addr addr) const;
     std::uint64_t readReg(int thread, Reg r) const;
-    std::uint64_t instructionsRetired() const { return _retired; }
     bool halted(int thread) const;
 
     /**
@@ -68,7 +67,6 @@ class FuncSim
     std::unordered_map<Addr, std::uint64_t> _mem;
     Rng _rng;
     RetireHook _retireHook;
-    std::uint64_t _retired = 0;
 };
 
 } // namespace wb

@@ -1,7 +1,7 @@
 /**
  * @file
  * Bounds-checked little-endian byte codec shared by the durability
- * layer: snapshot sections (src/snapshot/), campaign job journals
+ * layer: snapshot sections (src/snapshot/), campaign job records
  * and the content-addressed result cache (src/campaign/) all
  * serialise through the same two classes so their integrity
  * checksums cover identical encodings.

@@ -77,7 +77,7 @@ void writeCrashReport(std::ostream &os, System &sys,
  * the verdicts it synthesizes on behalf of a job whose worker
  * process died (`worker-crash`, `job-timeout`, `job-oom`): there is
  * no System left to dump, but the classified record still lands in
- * the journal and the crash-report sidecar.
+ * the run's job records and the crash-report sidecar.
  */
 void writeLoadFailureReport(std::ostream &os,
                             const std::string &verdict,

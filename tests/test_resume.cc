@@ -1,15 +1,18 @@
 /**
  * @file
- * Crash-resumable campaign tests: the JobResult journal codec is
- * bit-exact, the write-ahead journal round-trips and drops (only)
- * torn tail records, a preloaded resume emits aggregates
- * byte-identical to an uninterrupted run at any worker count, the
- * cooperative stop flag drains cleanly, and the content-addressed
- * result cache hits/misses/degrades exactly as specified.
+ * Crash-resumable campaign tests: the JobResult codec is bit-exact,
+ * the run directory's spec descriptor round-trips and refuses every
+ * truncation or corruption, a resume from the run's job records
+ * emits aggregates byte-identical to an uninterrupted run at any
+ * worker count (and replays nothing from another spec's records),
+ * the cooperative stop flag drains cleanly, and the
+ * content-addressed result cache hits/misses/degrades exactly as
+ * specified.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -21,7 +24,7 @@
 #include "campaign/campaign_aggregator.hh"
 #include "campaign/campaign_runner.hh"
 #include "campaign/campaign_spec.hh"
-#include "campaign/job_journal.hh"
+#include "campaign/job_codec.hh"
 #include "campaign/result_cache.hh"
 #include "campaign_fixtures.hh"
 
@@ -78,26 +81,31 @@ expectEqual(const JobResult &a, const JobResult &b)
     EXPECT_EQ(wa.buffer(), wb_.buffer());
 }
 
-JournalHeader
-sampleHeader()
-{
-    JournalHeader h;
-    h.specKind = "manifest";
-    h.specText = "name tiny\nseeds 2\n";
-    h.seedsOverride = 4;
-    h.recovery = true;
-    h.verifyEquivalence = false;
-    h.checkFaults = true;
-    h.strict = false;
-    h.specFingerprint = 0xfeedfacecafebeefULL;
-    h.jobCount = 8;
-    return h;
-}
-
 std::string
 tempPath(const std::string &name)
 {
     return testing::TempDir() + "/" + name;
+}
+
+std::string
+freshDir(const std::string &name)
+{
+    const std::string d = tempPath(name);
+    std::filesystem::remove_all(d);
+    std::filesystem::create_directories(d);
+    return d;
+}
+
+/** The run records under DIR/jobs, sorted by file name. */
+std::vector<std::string>
+recordFiles(const std::string &dir)
+{
+    std::vector<std::string> files;
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir + "/jobs"))
+        files.push_back(e.path().string());
+    std::sort(files.begin(), files.end());
+    return files;
 }
 
 std::vector<unsigned char>
@@ -137,7 +145,7 @@ aggregatesOf(const CampaignSpec &spec, const CampaignResult &r)
 // JobResult codec
 // ---------------------------------------------------------------
 
-TEST(JobJournalCodec, JobResultRoundTripsBitExactly)
+TEST(JobCodec, JobResultRoundTripsBitExactly)
 {
     const JobResult r = sampleResult();
     ByteWriter w;
@@ -159,7 +167,7 @@ TEST(JobJournalCodec, JobResultRoundTripsBitExactly)
     EXPECT_EQ(back.equivalenceDetail, r.equivalenceDetail);
 }
 
-TEST(JobJournalCodec, JobListFingerprintTracksTheJobList)
+TEST(JobCodec, JobListFingerprintTracksTheJobList)
 {
     CampaignSpec spec = tinySpec();
     const std::uint64_t fp = jobListFingerprint(spec.expand());
@@ -172,168 +180,126 @@ TEST(JobJournalCodec, JobListFingerprintTracksTheJobList)
 }
 
 // ---------------------------------------------------------------
-// Write-ahead journal
+// The run directory's spec descriptor
 // ---------------------------------------------------------------
 
-TEST(JobJournalFile, HeaderAndRecordsRoundTrip)
+TEST(SpecDescriptorFile, RoundTripsThroughTheRunDirectory)
 {
-    const std::string path = tempPath("journal-rt.wbj");
-    const JournalHeader hdr = sampleHeader();
-
-    JobJournal j;
+    const std::string dir = freshDir("desc-rt");
+    SpecDescriptor d;
+    d.specKind = "manifest";
+    d.specText = "name = tiny\nseeds = 2\n";
+    d.seedsOverride = 4;
+    d.recovery = true;
+    d.checkFaults = true;
     std::string err;
-    ASSERT_TRUE(j.open(path, hdr, err)) << err;
-    JobResult r = sampleResult();
-    j.append(r);
-    r.spec.index = 18;
-    r.verdict = "ok";
-    j.append(r);
-    j.close();
+    ASSERT_TRUE(writeSpecDescriptor(dir, d, err)) << err;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/campaign.wbc.tmp"));
 
-    JobJournal::LoadResult loaded;
-    ASSERT_TRUE(JobJournal::load(path, loaded, err)) << err;
-    EXPECT_EQ(loaded.header.specKind, hdr.specKind);
-    EXPECT_EQ(loaded.header.specText, hdr.specText);
-    EXPECT_EQ(loaded.header.seedsOverride, hdr.seedsOverride);
-    EXPECT_EQ(loaded.header.recovery, hdr.recovery);
-    EXPECT_EQ(loaded.header.checkFaults, hdr.checkFaults);
-    EXPECT_EQ(loaded.header.specFingerprint, hdr.specFingerprint);
-    EXPECT_EQ(loaded.header.jobCount, hdr.jobCount);
-    ASSERT_EQ(loaded.jobs.size(), 2u);
-    EXPECT_EQ(loaded.tornDropped, 0u);
-    EXPECT_EQ(loaded.jobs[0].spec.index, 17u);
-    EXPECT_EQ(loaded.jobs[1].spec.index, 18u);
-    EXPECT_EQ(loaded.jobs[1].verdict, "ok");
-    std::remove(path.c_str());
+    SpecDescriptor back;
+    ASSERT_TRUE(loadSpecDescriptor(dir, back, err)) << err;
+    EXPECT_EQ(back.specKind, d.specKind);
+    EXPECT_EQ(back.specText, d.specText);
+    EXPECT_EQ(back.seedsOverride, d.seedsOverride);
+    EXPECT_EQ(back.recovery, d.recovery);
+    EXPECT_EQ(back.verifyEquivalence, d.verifyEquivalence);
+    EXPECT_EQ(back.checkFaults, d.checkFaults);
+    EXPECT_EQ(back.strict, d.strict);
+    std::filesystem::remove_all(dir);
 }
 
-// A SIGKILL mid-append tears at most the last record: every proper
-// truncation of the file must load the intact prefix and count one
-// dropped tail.
-TEST(JobJournalFile, EveryTornTailIsDroppedNotFatal)
+// The descriptor is written once, before any job runs, so there is
+// no torn state to tolerate: a missing, foreign, truncated or
+// bit-flipped campaign.wbc must be refused, never half-trusted.
+TEST(SpecDescriptorFile, RefusesMissingForeignTruncatedAndCorrupt)
 {
-    const std::string path = tempPath("journal-torn.wbj");
-    JobJournal j;
+    const std::string dir = freshDir("desc-bad");
+    const std::string path = dir + "/campaign.wbc";
+    SpecDescriptor d;
     std::string err;
-    ASSERT_TRUE(j.open(path, sampleHeader(), err)) << err;
-    JobResult r = sampleResult();
-    j.append(r);
-    r.spec.index = 18;
-    j.append(r);
-    j.close();
+    EXPECT_FALSE(loadSpecDescriptor(dir, d, err));
 
+    writeFile(path, {'n', 'o', 't', ' ', 'a', ' ', 'w', 'b', 'c'});
+    EXPECT_FALSE(loadSpecDescriptor(dir, d, err));
+
+    d.specKind = "builtin";
+    d.specText = "fault";
+    ASSERT_TRUE(writeSpecDescriptor(dir, d, err)) << err;
     const auto full = readFile(path);
-    JobJournal::LoadResult base;
-    ASSERT_TRUE(JobJournal::load(path, base, err)) << err;
-    ASSERT_EQ(base.jobs.size(), 2u);
-
-    // Find where record 2 starts by re-encoding record 1.
-    ByteWriter w;
-    encodeJobResult(w, base.jobs[0]);
-    const std::size_t rec1_end =
-        full.size() - (16 + w.buffer().size());
-
-    for (std::size_t cut = rec1_end + 1; cut < full.size();
-         ++cut) {
+    for (std::size_t cut = 0; cut < full.size(); ++cut) {
         writeFile(path, {full.begin(), full.begin() + long(cut)});
-        JobJournal::LoadResult part;
-        ASSERT_TRUE(JobJournal::load(path, part, err))
-            << "cut at " << cut << ": " << err;
-        EXPECT_EQ(part.jobs.size(), 1u) << "cut at " << cut;
-        EXPECT_EQ(part.tornDropped, 1u) << "cut at " << cut;
+        EXPECT_FALSE(loadSpecDescriptor(dir, d, err))
+            << "cut at " << cut;
     }
-    std::remove(path.c_str());
-}
-
-TEST(JobJournalFile, CorruptedTailRecordIsDropped)
-{
-    const std::string path = tempPath("journal-flip.wbj");
-    JobJournal j;
-    std::string err;
-    ASSERT_TRUE(j.open(path, sampleHeader(), err)) << err;
-    j.append(sampleResult());
-    j.close();
-
-    auto bytes = readFile(path);
-    bytes.back() ^= 0x40; // inside the only record's payload
-    writeFile(path, bytes);
-
-    JobJournal::LoadResult loaded;
-    ASSERT_TRUE(JobJournal::load(path, loaded, err)) << err;
-    EXPECT_EQ(loaded.jobs.size(), 0u);
-    EXPECT_EQ(loaded.tornDropped, 1u);
-    std::remove(path.c_str());
-}
-
-TEST(JobJournalFile, RejectsForeignAndTruncatedHeaders)
-{
-    const std::string path = tempPath("journal-bad.wbj");
-    std::string err;
-    JobJournal::LoadResult loaded;
-
-    EXPECT_FALSE(JobJournal::load(tempPath("nope.wbj"), loaded,
-                                  err));
-
-    writeFile(path, {'n', 'o', 't', ' ', 'a', ' ', 'j', 'r', 'n',
-                     'l'});
-    EXPECT_FALSE(JobJournal::load(path, loaded, err));
-
-    // Valid magic, torn header: must fail loudly (the header is
-    // written once, before any job runs — a torn header means the
-    // journal never recorded anything usable).
-    JobJournal j;
-    ASSERT_TRUE(j.open(path, sampleHeader(), err)) << err;
-    j.close();
-    auto bytes = readFile(path);
-    bytes.resize(bytes.size() / 2);
-    writeFile(path, bytes);
-    EXPECT_FALSE(JobJournal::load(path, loaded, err));
-    std::remove(path.c_str());
+    for (std::size_t at = 0; at < full.size(); ++at) {
+        auto bytes = full;
+        bytes[at] ^= 0x40;
+        writeFile(path, bytes);
+        EXPECT_FALSE(loadSpecDescriptor(dir, d, err))
+            << "flip at " << at;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------
-// Resume via preloaded results
+// Resume from the run's job records
 // ---------------------------------------------------------------
 
-TEST(CampaignResume, PreloadedResumeMatchesColdRunByteForByte)
+TEST(CampaignResume, ResumeFromRunRecordsMatchesColdRunByteForByte)
 {
     const CampaignSpec spec = tinySpec();
-    const std::string path = tempPath("resume.wbj");
+    const std::string dir = freshDir("resume-run");
 
-    // Cold reference run, journaled.
+    // Cold reference run: one record per job.
     CampaignRunner::Options opts;
     opts.jobs = 2;
     opts.progress = false;
-    opts.journalPath = path;
-    opts.journalHeader = sampleHeader();
-    const CampaignResult cold =
-        CampaignRunner(spec, opts).run();
+    opts.outDir = dir;
+    const CampaignResult cold = CampaignRunner(spec, opts).run();
     ASSERT_EQ(cold.summary.done, spec.jobCount());
-    EXPECT_EQ(cold.journaled, spec.jobCount());
+    EXPECT_EQ(cold.replayed, 0u);
     EXPECT_FALSE(cold.interrupted);
+    ASSERT_EQ(recordFiles(dir).size(), spec.jobCount());
     const Aggregates ref = aggregatesOf(spec, cold);
 
-    // Pretend the run died after the first three jobs: resume with
-    // those journaled results preloaded, at two worker counts.
-    std::string err;
-    JobJournal::LoadResult loaded;
-    ASSERT_TRUE(JobJournal::load(path, loaded, err)) << err;
-    ASSERT_EQ(loaded.jobs.size(), spec.jobCount());
-    loaded.jobs.resize(3);
-
+    // Pretend the run died before three jobs were recorded: resume
+    // at two worker counts. Each resume re-records the jobs it ran.
     for (int workers : {1, 8}) {
-        CampaignRunner::Options ropts;
-        ropts.jobs = workers;
-        ropts.progress = false;
-        ropts.preloaded = &loaded.jobs;
+        const auto files = recordFiles(dir);
+        for (std::size_t k = 0; k < 3; ++k)
+            std::filesystem::remove(files[k]);
+        opts.jobs = workers;
         const CampaignResult resumed =
-            CampaignRunner(spec, ropts).run();
+            CampaignRunner(spec, opts).run();
         ASSERT_EQ(resumed.summary.done, spec.jobCount());
+        EXPECT_EQ(resumed.replayed, spec.jobCount() - 3)
+            << "-j" << workers;
         const Aggregates out = aggregatesOf(spec, resumed);
         EXPECT_EQ(out.json, ref.json) << "-j" << workers;
         EXPECT_EQ(out.csv, ref.csv) << "-j" << workers;
+        EXPECT_EQ(recordFiles(dir).size(), spec.jobCount());
     }
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
+}
+
+// Records are keyed by job index *and* the job's config/workload
+// fingerprints, so a directory holding another spec's records
+// replays none of them.
+TEST(CampaignResume, RecordsOfAnotherSpecAreNeverReplayed)
+{
+    const std::string dir = freshDir("resume-stale");
+    CampaignRunner::Options opts;
+    opts.jobs = 2;
+    opts.progress = false;
+    opts.outDir = dir;
+    CampaignRunner(tinySpec(), opts).run();
+
+    CampaignSpec other = tinySpec();
+    other.baseSeed = 43;
+    const CampaignResult r = CampaignRunner(other, opts).run();
+    EXPECT_EQ(r.summary.done, other.jobCount());
+    EXPECT_EQ(r.replayed, 0u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignResume, StopFlagDrainsAndMarksInterrupted)

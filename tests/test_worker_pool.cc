@@ -2,7 +2,7 @@
  * @file
  * Process-isolated campaign backend tests: the pipe frame codec is
  * checksummed and rejects corruption, WorkerInit round-trips, specs
- * rebuild identically from their journal-header description, and —
+ * rebuild identically from their descriptor, and —
  * the headline guarantees — the process backend emits aggregates
  * byte-identical to the thread backend, a worker segfault mid-job
  * costs a respawn but never a result, a poison job is quarantined
@@ -10,7 +10,9 @@
  * and is classified "job-timeout", an allocation over RLIMIT_AS is
  * recorded gracefully as "job-oom", an exhausted respawn budget
  * degrades to in-process execution instead of failing, and the
- * result cache survives true multi-process concurrent writers.
+ * result cache survives true multi-process concurrent writers. A
+ * resume replays the run's records under either backend, a
+ * quarantined job included, and never re-runs them.
  *
  * This binary doubles as its own campaign worker: main() dispatches
  * `--worker` to campaignWorkerMain() before gtest ever runs, so the
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -35,7 +38,6 @@
 #include "campaign/campaign_runner.hh"
 #include "campaign/campaign_spec.hh"
 #include "campaign/job_codec.hh"
-#include "campaign/job_journal.hh"
 #include "campaign/result_cache.hh"
 #include "campaign/worker_pool.hh"
 #include "campaign_fixtures.hh"
@@ -47,7 +49,7 @@ namespace
 
 /** A real-workload manifest small enough that the full grid runs in
  *  well under a second. Kept as text: the worker processes rebuild
- *  the spec from this very string via the journal header. */
+ *  the spec from this very string via the spec descriptor. */
 const char kManifest[] = "name = pooltest\n"
                          "workloads = blackscholes\n"
                          "modes = in-order ooo-wb\n"
@@ -88,8 +90,8 @@ processOpts(const std::string &outDir, int jobs = 2)
     opts.progress = false;
     opts.outDir = outDir;
     opts.process.enabled = true;
-    opts.journalHeader.specKind = "manifest";
-    opts.journalHeader.specText = kManifest;
+    opts.descriptor.specKind = "manifest";
+    opts.descriptor.specText = kManifest;
     return opts;
 }
 
@@ -196,8 +198,8 @@ TEST(JobCodec, WorkerInitRoundTrips)
     init.spec.verifyEquivalence = true;
     init.spec.checkFaults = true;
     init.spec.strict = true;
-    init.spec.specFingerprint = 0x1234'5678'9abc'def0ull;
-    init.spec.jobCount = 42;
+    init.jobCount = 42;
+    init.jobFingerprint = 0x1234'5678'9abc'def0ull;
     init.outDir = "/tmp/x";
     init.chaos = "once:segv@5";
     init.memLimitMb = 512;
@@ -220,8 +222,8 @@ TEST(JobCodec, WorkerInitRoundTrips)
               init.spec.verifyEquivalence);
     EXPECT_EQ(back.spec.checkFaults, init.spec.checkFaults);
     EXPECT_EQ(back.spec.strict, init.spec.strict);
-    EXPECT_EQ(back.spec.specFingerprint, init.spec.specFingerprint);
-    EXPECT_EQ(back.spec.jobCount, init.spec.jobCount);
+    EXPECT_EQ(back.jobCount, init.jobCount);
+    EXPECT_EQ(back.jobFingerprint, init.jobFingerprint);
     EXPECT_EQ(back.outDir, init.outDir);
     EXPECT_EQ(back.chaos, init.chaos);
     EXPECT_EQ(back.memLimitMb, init.memLimitMb);
@@ -277,7 +279,7 @@ TEST(JobCodec, TelemetryFramesRoundTripOverTheWire)
 
 TEST(WorkerPool, SpecsRebuildIdenticallyFromTheirDescription)
 {
-    JournalHeader desc;
+    SpecDescriptor desc;
     desc.specKind = "manifest";
     desc.specText = kManifest;
     CampaignSpec rebuilt;
@@ -293,7 +295,7 @@ TEST(WorkerPool, SpecsRebuildIdenticallyFromTheirDescription)
     ASSERT_TRUE(buildCampaignSpec(desc, fewer, err)) << err;
     EXPECT_EQ(fewer.jobCount(), direct.jobCount() / 2);
 
-    JournalHeader builtin;
+    SpecDescriptor builtin;
     builtin.specKind = "builtin";
     builtin.specText = "fault";
     CampaignSpec fault;
@@ -305,7 +307,7 @@ TEST(WorkerPool, SpecsRebuildIdenticallyFromTheirDescription)
     EXPECT_FALSE(buildCampaignSpec(builtin, bad, err));
     EXPECT_NE(err.find("no-such-builtin"), std::string::npos);
 
-    JournalHeader broken;
+    SpecDescriptor broken;
     broken.specKind = "manifest";
     broken.specText = "workloads = not-a-benchmark\n";
     EXPECT_FALSE(buildCampaignSpec(broken, bad, err));
@@ -390,7 +392,7 @@ TEST(WorkerPool, PoisonJobIsQuarantinedAfterConsecutiveKills)
     EXPECT_EQ(result.quarantined, 1u);
     EXPECT_GE(result.workerCrashes, 2u);
 
-    // ...and the poison job is a classified, journal-shaped failure
+    // ...and the poison job is a classified, recorded failure
     // with a crash report, while its neighbours are untouched.
     const JobResult &bad = result.jobs[1];
     EXPECT_EQ(bad.verdict, "worker-crash");
@@ -405,6 +407,59 @@ TEST(WorkerPool, PoisonJobIsQuarantinedAfterConsecutiveKills)
     EXPECT_EQ(result.jobs[0].verdict, "ok");
     EXPECT_EQ(result.jobs[2].verdict, "ok");
     EXPECT_EQ(result.jobs[3].verdict, "ok");
+}
+
+// CAMPAIGN.md: a quarantined job is recorded like any other result,
+// so --resume replays the quarantine instead of feeding the job to
+// fresh workers. The chaos is not "once": a re-run would kill a
+// worker again and show up as a crash.
+TEST(WorkerPool, QuarantinedJobIsReplayedNotReRunOnResume)
+{
+    const CampaignSpec spec = poolSpec();
+    const std::string dir = freshDir("poison-resume");
+    CampaignRunner::Options opts = processOpts(dir);
+    opts.process.chaos = "segv@1";
+    opts.process.poisonThreshold = 1;
+    const CampaignResult first = CampaignRunner(spec, opts).run();
+    ASSERT_EQ(first.quarantined, 1u);
+    ASSERT_EQ(first.jobs[1].verdict, "worker-crash");
+
+    const CampaignResult resumed = CampaignRunner(spec, opts).run();
+    EXPECT_EQ(resumed.summary.done, spec.jobCount());
+    EXPECT_EQ(resumed.replayed, spec.jobCount());
+    EXPECT_EQ(resumed.workerCrashes, 0u);
+    EXPECT_EQ(resumed.quarantined, 0u);
+    EXPECT_EQ(resumed.jobs[1].verdict, "worker-crash");
+    EXPECT_TRUE(resumed.jobs[1].infraFailure);
+    expectAggregatesEqual(spec, first, resumed);
+}
+
+// A run recorded by the thread backend resumes under the process
+// backend with the same aggregates.
+TEST(WorkerPool, ResumeAcrossBackendsMatchesByteForByte)
+{
+    const CampaignSpec spec = poolSpec();
+    const std::string dir = freshDir("resume-backends");
+    CampaignRunner::Options topts;
+    topts.jobs = 1;
+    topts.progress = false;
+    topts.outDir = dir;
+    const CampaignResult threads = CampaignRunner(spec, topts).run();
+
+    std::vector<std::string> files;
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir + "/jobs"))
+        files.push_back(e.path().string());
+    ASSERT_EQ(files.size(), spec.jobCount());
+    std::sort(files.begin(), files.end());
+    for (std::size_t k = 0; k < files.size(); k += 2)
+        std::filesystem::remove(files[k]);
+
+    const CampaignResult procs =
+        CampaignRunner(spec, processOpts(dir)).run();
+    EXPECT_EQ(procs.summary.done, spec.jobCount());
+    EXPECT_EQ(procs.replayed, spec.jobCount() / 2);
+    expectAggregatesEqual(spec, threads, procs);
 }
 
 TEST(WorkerPool, HungJobDiesByDeadlineAsJobTimeout)

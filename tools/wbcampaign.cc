@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -39,7 +40,7 @@
 #include "campaign/campaign_runner.hh"
 #include "campaign/campaign_spec.hh"
 #include "campaign/fault_invariants.hh"
-#include "campaign/job_journal.hh"
+#include "campaign/job_codec.hh"
 #include "campaign/result_cache.hh"
 #include "campaign/worker_pool.hh"
 #include "sim/parse.hh"
@@ -50,7 +51,7 @@ namespace
 using namespace wb;
 
 /** SIGINT/SIGTERM request a graceful stop: workers finish (and
- *  journal) their in-flight jobs, then the campaign exits with the
+ *  record) their in-flight jobs, then the campaign exits with the
  *  resumable code 5. The handler is async-signal-safe by
  *  construction: a lock-free atomic store plus one write() to the
  *  self-pipe that wakes the process-backend supervisor's poll().
@@ -81,10 +82,12 @@ usage()
         "(default: one per hardware thread)\n"
         "  --seeds N         override the spec's seed count\n"
         "  --quick           shorthand for --seeds 4\n"
-        "  --out DIR         write per-job crash reports (and,\n"
-        "                    with the manifest's flight-recorder /\n"
-        "                    timeline-period keys or telemetry,\n"
-        "                    per-job traces and timelines) here\n"
+        "  --out DIR         run directory: the spec descriptor\n"
+        "                    (campaign.wbc), a result record per\n"
+        "                    finished job (jobs/), per-job crash\n"
+        "                    reports (and, with the manifest's\n"
+        "                    flight-recorder / timeline-period keys,\n"
+        "                    per-job traces and timelines)\n"
         "  --json FILE       aggregate JSON report (- for stdout)\n"
         "  --csv FILE        per-job CSV (- for stdout)\n"
         "  --check-faults    assert the fault-campaign invariants\n"
@@ -102,11 +105,14 @@ usage()
         "  --strict          without --check-faults, deadlocks and\n"
         "                    incomplete runs also fail\n"
         "  --resume DIR      resume an interrupted/killed campaign\n"
-        "                    from DIR's write-ahead journal: replay\n"
-        "                    recorded jobs, run only the rest. The\n"
-        "                    spec and overrides come from the\n"
-        "                    journal; aggregate output is byte-\n"
-        "                    identical to an uninterrupted run\n"
+        "                    in its --out DIR: replay the recorded\n"
+        "                    jobs, run only the rest. The spec and\n"
+        "                    its overrides come from DIR (so\n"
+        "                    --spec/--builtin/--seeds/--quick/--out/\n"
+        "                    --recovery/--verify-equivalence/\n"
+        "                    --check-faults/--strict are refused);\n"
+        "                    aggregate output is byte-identical to\n"
+        "                    an uninterrupted run\n"
         "  --cache-dir DIR   content-addressed result cache\n"
         "                    (default: OUT/cache when --out is set)\n"
         "  --no-cache        disable the result cache\n"
@@ -151,7 +157,7 @@ usage()
         "                    telemetry) for S seconds (default 30)\n"
         "  --dry-run         print the expanded job list and exit\n"
         "  --no-progress     disable the live progress line\n"
-        "SIGINT/SIGTERM finish in-flight jobs, journal them, and\n"
+        "SIGINT/SIGTERM finish in-flight jobs, record them, and\n"
         "exit 5 (resumable with --resume).\n"
         "exit codes: 0 campaign holds, 1 failures, 5 interrupted\n"
         "            (resumable), 64 usage\n");
@@ -185,17 +191,17 @@ main(int argc, char **argv)
     std::string spec_path;
     std::string builtin;
     int jobs = 0;
-    int seeds_override = 0;
     std::string out_dir;
     std::string json_path;
     std::string csv_path;
-    bool check_faults = false;
-    bool strict = false;
     bool dry_run = false;
     bool progress = true;
-    bool recovery = false;
-    bool verify_equivalence = false;
     std::string resume_dir;
+    // The spec-shaping flags land in the descriptor that --out
+    // writes to DIR/campaign.wbc; spec_flag names the last one
+    // given, since --resume takes them all from DIR instead.
+    SpecDescriptor desc;
+    std::string spec_flag;
     std::string cache_dir;
     bool no_cache = false;
     bool process_backend = false;
@@ -232,6 +238,11 @@ main(int argc, char **argv)
                             std::numeric_limits<double>::max(),
                             field));
         };
+        if (a == "--spec" || a == "--builtin" || a == "--seeds" ||
+            a == "--quick" || a == "--out" || a == "--check-faults" ||
+            a == "--recovery" || a == "--verify-equivalence" ||
+            a == "--strict")
+            spec_flag = a;
         if (a == "--spec")
             spec_path = next();
         else if (a == "--builtin")
@@ -242,9 +253,10 @@ main(int argc, char **argv)
                  std::isdigit(static_cast<unsigned char>(a[2])))
             count(a.substr(2), jobs);
         else if (a == "--seeds")
-            count(next(), seeds_override);
+            check(parseCount(a, next(), desc.seedsOverride, 0,
+                             std::numeric_limits<int>::max()));
         else if (a == "--quick")
-            seeds_override = 4;
+            desc.seedsOverride = 4;
         else if (a == "--out")
             out_dir = next();
         else if (a == "--json")
@@ -252,13 +264,13 @@ main(int argc, char **argv)
         else if (a == "--csv")
             csv_path = next();
         else if (a == "--check-faults")
-            check_faults = true;
+            desc.checkFaults = true;
         else if (a == "--recovery")
-            recovery = true;
+            desc.recovery = true;
         else if (a == "--verify-equivalence")
-            verify_equivalence = true;
+            desc.verifyEquivalence = true;
         else if (a == "--strict")
-            strict = true;
+            desc.strict = true;
         else if (a == "--resume")
             resume_dir = next();
         else if (a == "--cache-dir")
@@ -314,81 +326,56 @@ main(int argc, char **argv)
         }
     }
 
-    // --resume: the spec and its CLI overrides come from the
-    // journal header, so the rebuilt job list is identical to the
-    // interrupted campaign's.
-    JobJournal::LoadResult journal_load;
+    // --resume: the spec and its CLI overrides come from the run
+    // directory's descriptor, so the rebuilt job list is identical
+    // to the interrupted campaign's.
+    std::string spec_name = spec_path.empty() ? builtin : spec_path;
     if (!resume_dir.empty()) {
-        if (!spec_path.empty() || !builtin.empty()) {
-            std::fprintf(stderr, "--resume takes the spec from the "
-                                 "journal; drop --spec/--builtin\n");
+        if (!spec_flag.empty()) {
+            std::fprintf(stderr,
+                         "--resume takes the spec and its overrides "
+                         "from %s/campaign.wbc; drop %s\n",
+                         resume_dir.c_str(), spec_flag.c_str());
             return 64;
         }
         std::string err;
-        if (!JobJournal::load(resume_dir + "/journal.wbj",
-                              journal_load, err)) {
+        if (!loadSpecDescriptor(resume_dir, desc, err)) {
             std::fprintf(stderr, "%s\n", err.c_str());
             return 64;
         }
-        const JournalHeader &h = journal_load.header;
-        if (h.specKind == "builtin")
-            builtin = h.specText;
-        else
-            spec_path = "<journal>"; // parsed from specText below
-        seeds_override = int(h.seedsOverride);
-        recovery = h.recovery;
-        verify_equivalence = h.verifyEquivalence;
-        check_faults = h.checkFaults;
-        strict = h.strict;
+        spec_name = resume_dir + "/campaign.wbc";
         out_dir = resume_dir;
     } else if (spec_path.empty() == builtin.empty()) {
         std::fprintf(stderr, "need exactly one of --spec / "
                              "--builtin\n\n");
         usage();
         return 64;
-    }
-
-    CampaignSpec spec;
-    std::string spec_kind, spec_text;
-    if (!builtin.empty()) {
-        if (builtin == "fault" && resume_dir.empty())
-            check_faults = true;
-        spec_kind = "builtin";
-        spec_text = builtin;
+    } else if (!builtin.empty()) {
+        if (builtin == "fault")
+            desc.checkFaults = true;
+        desc.specKind = "builtin";
+        desc.specText = builtin;
     } else {
-        // Keep the manifest text: the journal header embeds it so
-        // --resume needs nothing but the output directory — and
-        // the process backend's workers rebuild the identical spec
-        // from the very same description.
-        if (spec_path == "<journal>") {
-            spec_text = journal_load.header.specText;
-        } else {
-            std::ifstream mf(spec_path);
-            if (!mf) {
-                std::fprintf(stderr, "cannot open %s\n",
-                             spec_path.c_str());
-                return 64;
-            }
-            std::ostringstream ss;
-            ss << mf.rdbuf();
-            spec_text = ss.str();
+        // Keep the manifest text: campaign.wbc embeds it so --resume
+        // needs nothing but the output directory — and the process
+        // backend's workers rebuild the identical spec from the very
+        // same description.
+        std::ifstream mf(spec_path);
+        if (!mf) {
+            std::fprintf(stderr, "cannot open %s\n",
+                         spec_path.c_str());
+            return 64;
         }
-        spec_kind = "manifest";
+        std::ostringstream ss;
+        ss << mf.rdbuf();
+        desc.specKind = "manifest";
+        desc.specText = ss.str();
     }
-    JournalHeader desc;
-    desc.specKind = spec_kind;
-    desc.specText = spec_text;
-    desc.seedsOverride = seeds_override;
-    desc.recovery = recovery;
-    desc.verifyEquivalence = verify_equivalence;
-    desc.checkFaults = check_faults;
-    desc.strict = strict;
+    CampaignSpec spec;
     {
         std::string err;
         if (!buildCampaignSpec(desc, spec, err)) {
-            std::fprintf(stderr, "%s: %s\n",
-                         spec_path.empty() ? builtin.c_str()
-                                           : spec_path.c_str(),
+            std::fprintf(stderr, "%s: %s\n", spec_name.c_str(),
                          err.c_str());
             return 64;
         }
@@ -413,19 +400,15 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (!resume_dir.empty()) {
-        // A journal only resumes the exact campaign it recorded:
-        // replayed results must slot into the same job list.
-        const std::uint64_t fp = jobListFingerprint(spec.expand());
-        if (fp != journal_load.header.specFingerprint) {
-            std::fprintf(stderr,
-                         "%s/journal.wbj: job list fingerprint "
-                         "mismatch (journal %016llx, spec %016llx); "
-                         "refusing to resume\n",
-                         resume_dir.c_str(),
-                         static_cast<unsigned long long>(
-                             journal_load.header.specFingerprint),
-                         static_cast<unsigned long long>(fp));
+    // A fresh run directory: its old records would be replayed, so
+    // they go before the descriptor of this campaign is written.
+    if (resume_dir.empty() && !out_dir.empty()) {
+        std::string err;
+        std::error_code ec;
+        std::filesystem::create_directories(out_dir, ec);
+        ResultCache(out_dir + "/jobs").clear();
+        if (!writeSpecDescriptor(out_dir, desc, err)) {
+            std::fprintf(stderr, "%s\n", err.c_str());
             return 64;
         }
     }
@@ -434,13 +417,9 @@ main(int argc, char **argv)
     opts.jobs = jobs;
     opts.outDir = out_dir;
     opts.progress = progress;
-    opts.verifyEquivalence = verify_equivalence;
+    opts.verifyEquivalence = desc.verifyEquivalence;
     opts.stopFlag = &g_stop;
-    opts.journalPath =
-        out_dir.empty() ? "" : out_dir + "/journal.wbj";
-    opts.journalHeader = desc;
-    if (!resume_dir.empty())
-        opts.preloaded = &journal_load.jobs;
+    opts.descriptor = desc;
     if (!no_cache)
         opts.cacheDir = !cache_dir.empty()
                             ? cache_dir
@@ -489,23 +468,20 @@ main(int argc, char **argv)
     std::printf("campaign %s: %zu jobs on %d worker%s\n",
                 spec.name.c_str(), spec.jobCount(),
                 runner.workers(), runner.workers() == 1 ? "" : "s");
-    if (!resume_dir.empty())
-        std::printf("resume: %zu of %zu jobs replayed from journal"
-                    "%s\n",
-                    journal_load.jobs.size(), spec.jobCount(),
-                    journal_load.tornDropped
-                        ? " (torn tail record dropped)"
-                        : "");
     const CampaignResult result = runner.run();
+    if (!resume_dir.empty())
+        std::printf("resume: %zu of %zu jobs replayed from %s/jobs\n",
+                    result.replayed, spec.jobCount(),
+                    resume_dir.c_str());
 
     // Durability/cache health goes to stderr and a sidecar file,
     // never into the aggregate reports — those must stay
     // byte-identical across cold, cached, and resumed runs.
-    if (!opts.cacheDir.empty() || !opts.journalPath.empty())
+    if (!opts.cacheDir.empty() || !out_dir.empty())
         std::fprintf(stderr,
-                     "durability: %zu journaled, %zu cache hit%s, "
+                     "durability: %zu replayed, %zu cache hit%s, "
                      "%zu miss%s\n",
-                     result.journaled, result.cacheHits,
+                     result.replayed, result.cacheHits,
                      result.cacheHits == 1 ? "" : "s",
                      result.cacheMisses,
                      result.cacheMisses == 1 ? "" : "es");
@@ -537,11 +513,9 @@ main(int argc, char **argv)
               << "  \"jobsDone\": " << result.summary.done << ",\n"
               << "  \"jobsTotal\": " << result.summary.total
               << ",\n"
-              << "  \"journaled\": " << result.journaled << ",\n"
+              << "  \"replayed\": " << result.replayed << ",\n"
               << "  \"cacheHits\": " << result.cacheHits << ",\n"
               << "  \"cacheMisses\": " << result.cacheMisses
-              << ",\n"
-              << "  \"tornDropped\": " << journal_load.tornDropped
               << ",\n"
               << "  \"workerRestarts\": " << result.workerRestarts
               << ",\n"
@@ -565,8 +539,8 @@ main(int argc, char **argv)
             std::printf("; resume with: wbcampaign --resume %s",
                         out_dir.c_str());
         else
-            std::printf(" (no --out directory, so no journal "
-                        "was kept; not resumable)");
+            std::printf(" (no --out directory, so nothing "
+                        "was recorded; not resumable)");
         std::printf("\n");
         return 5;
     }
@@ -579,7 +553,7 @@ main(int argc, char **argv)
                 s.done, s.ok, s.deadlocks, s.panics,
                 s.tsoViolations, s.infraFailures, s.incomplete,
                 s.retried, result.wallSeconds);
-    if (verify_equivalence)
+    if (desc.verifyEquivalence)
         std::printf("equivalence: %zu checked, %zu mismatch%s\n",
                     s.equivalenceChecked, s.equivalenceMismatches,
                     s.equivalenceMismatches == 1 ? "" : "es");
@@ -592,7 +566,7 @@ main(int argc, char **argv)
     int failures =
         int(s.tsoViolations + s.infraFailures +
             s.equivalenceMismatches);
-    if (check_faults) {
+    if (desc.checkFaults) {
         const auto broken = checkFaultInvariants(result);
         for (const std::string &b : broken)
             std::fprintf(stderr, "FAIL %s\n", b.c_str());
@@ -603,7 +577,7 @@ main(int argc, char **argv)
                     broken.size() == 1 ? "" : "s");
     } else {
         failures += int(s.panics);
-        if (strict)
+        if (desc.strict)
             failures += int(s.deadlocks + s.incomplete);
     }
 
