@@ -293,19 +293,22 @@ CampaignRunner::run()
                _opts.stopFlag->load(std::memory_order_relaxed);
     };
 
+    // The shared cache skips the fsyncs: a lost or torn entry is a
+    // miss and costs a re-run. Run records are what a resume
+    // replays, so they are stored durably.
     const ResultCache cache(_opts.cacheDir);
     const bool use_cache = !_opts.cacheDir.empty();
     // Run records: every finished job, any verdict, under
     // OUT/jobs/. A job whose record is there is replayed.
-    const ResultCache records(_opts.outDir + "/jobs");
+    const ResultCache records(_opts.outDir + "/jobs",
+                              /*durable=*/true);
     const bool use_records = !_opts.outDir.empty();
 
     // Live telemetry: one emit closure shared by every executor
-    // (worker threads, the supervisor's frame loop, the degraded
-    // fallback), so per-job sidecar streams are byte-identical for
-    // any backend and worker count. Period resolution: explicit
-    // --telemetry-period, else the spec's obs.metrics-period, else
-    // 50k cycles.
+    // (worker threads and the supervisor's frame loop), so per-job
+    // sidecar streams are byte-identical for any backend and worker
+    // count. Period resolution: explicit --telemetry-period, else
+    // the spec's obs.metrics-period, else 50k cycles.
     TelemetryBoard board;
     TelemetryHooks tele;
     const TelemetryHooks *telep = nullptr;
@@ -501,19 +504,12 @@ CampaignRunner::run()
         // moves into forked workers, but record/cache/aggregate
         // bookkeeping stays right here via the same callbacks the
         // thread backend uses — aggregates remain byte-identical.
-        const WorkerPoolStats pst = runWorkerPool(
-            _spec, jobs, _opts, nworkers, busy, reuseFn,
+        out.pool = runWorkerPool(
+            jobs, _opts, nworkers, busy, reuseFn,
             [&](std::size_t i, JobResult &&res) {
                 commitFn(i, std::move(res), From::Run);
             },
             telep);
-        out.workerRestarts = pst.workerRestarts;
-        out.workerCrashes = pst.workerCrashes;
-        out.jobTimeouts = pst.jobTimeouts;
-        out.jobOoms = pst.jobOoms;
-        out.quarantined = pst.quarantined;
-        out.degradedTransitions = pst.degradedTransitions;
-        out.inProcessJobs = pst.inProcessJobs;
     } else {
         std::vector<std::thread> pool;
         pool.reserve(std::size_t(nworkers));
@@ -538,7 +534,8 @@ CampaignRunner::run()
     out.cacheMisses = cache_misses.load();
     out.replayed = replayed.load();
     out.interrupted =
-        stopRequested() && out.summary.done < out.summary.total;
+        (stopRequested() || !out.pool.abandoned.empty()) &&
+        out.summary.done < out.summary.total;
     return out;
 }
 

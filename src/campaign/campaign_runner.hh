@@ -36,12 +36,11 @@ namespace wb
 {
 
 /**
- * Live-telemetry plumbing handed to job executors (thread backend,
- * worker processes, degraded fallback). When present and
- * period != 0, each job's System gets a metrics snapshot stream
- * whose lines are delivered through @c emit — tagged with the job
- * index so per-job NDJSON sidecars are deterministic for any worker
- * count. Telemetry never touches the aggregate JSON/CSV: it lives
+ * Live-telemetry plumbing handed to job executors (thread backend
+ * and worker processes). When present and period != 0, each
+ * job's System gets a metrics snapshot stream whose lines are
+ * delivered through @c emit — tagged with the job index so per-job
+ * NDJSON sidecars are deterministic for any worker count. Telemetry never touches the aggregate JSON/CSV: it lives
  * beside them, like the durability counters (docs/CAMPAIGN.md).
  */
 struct TelemetryHooks
@@ -131,6 +130,22 @@ struct CampaignSummary
     }
 };
 
+/** What process-backend supervision did during one campaign.
+ *  Sidecar-only, like the cache counters: it describes the host
+ *  run, not the experiment. */
+struct WorkerPoolStats
+{
+    std::size_t workerRestarts = 0; //!< respawns, one per charged death
+    std::size_t workerCrashes = 0;  //!< abnormal worker deaths
+    std::size_t jobTimeouts = 0;    //!< deadline/stall kills
+    std::size_t jobOoms = 0;        //!< jobs ending "job-oom"
+    std::size_t quarantined = 0;    //!< poison jobs recorded
+    /** Why every worker slot retired with jobs left unrun ("" = the
+     *  pool did not stop early). The campaign then ends
+     *  interrupted and resumable. */
+    std::string abandoned;
+};
+
 /** The whole campaign's outcome, ordered by job index. */
 struct CampaignResult
 {
@@ -142,23 +157,14 @@ struct CampaignResult
     // JSON/CSV — a resumed or cache-assisted campaign must stay
     // byte-identical to an uninterrupted cold one — they go to the
     // durability.json sidecar and stderr instead.
-    bool interrupted = false; //!< stop flag fired; job list is
-                              //!< partial (jobs[] has empty slots)
+    bool interrupted = false; //!< stop flag fired or the pool was
+                              //!< abandoned; job list is partial
+                              //!< (jobs[] has empty slots)
     std::size_t replayed = 0; //!< jobs taken from OUT/jobs records
     std::size_t cacheHits = 0;
     std::size_t cacheMisses = 0;
 
-    // Process-backend supervision tallies (worker_pool.hh); all
-    // zero under the thread backend. Sidecar-only for the same
-    // reason as the cache counters: they describe the host run,
-    // not the experiment.
-    std::size_t workerRestarts = 0;      //!< respawns performed
-    std::size_t workerCrashes = 0;       //!< abnormal worker deaths
-    std::size_t jobTimeouts = 0;         //!< deadline/heartbeat kills
-    std::size_t jobOoms = 0;             //!< jobs ending "job-oom"
-    std::size_t quarantined = 0;         //!< poison jobs recorded
-    std::size_t degradedTransitions = 0; //!< supervision gave ground
-    std::size_t inProcessJobs = 0;       //!< last-resort fallback
+    WorkerPoolStats pool; //!< all zero under the thread backend
 
     /** Linear lookup by axis values; nullptr when absent. */
     const JobResult *find(const std::string &workload,
@@ -169,46 +175,32 @@ struct CampaignResult
 };
 
 /** Supervision policy for the process-isolated backend
- *  (worker_pool.hh). Defaults are service-grade conservative; the
- *  wbcampaign flags --job-timeout/--job-mem-limit/--max-respawns/
- *  --poison-threshold map onto the matching fields. */
+ *  (worker_pool.hh); the wbcampaign flags --job-timeout/
+ *  --job-mem-limit/--poison-threshold/--heartbeat-grace map onto
+ *  the matching fields. */
 struct ProcessPoolOptions
 {
-    /** Run jobs in forked worker processes instead of threads. */
+    /** Run jobs in forked worker processes instead of threads. The
+     *  workers re-exec the running binary (/proc/self/exe) as
+     *  `EXE --worker`, command pipe on fd 3, result pipe on fd 4. */
     bool enabled = false;
-    /** Binary to exec as the worker ("" = /proc/self/exe, i.e.
-     *  re-exec whatever is running the supervisor). It is invoked
-     *  as `EXE --worker` with the command pipe on fd 3 and the
-     *  result pipe on fd 4. */
-    std::string exePath;
-    /** Per-job wall-clock deadline enforced by the supervisor; the
-     *  worker also arms RLIMIT_CPU from it so a spin that starves
-     *  the supervisor still dies. 0 = no deadline. */
+    /** Per-job wall-clock deadline; the supervisor SIGKILLs a
+     *  worker past it. 0 = no deadline. */
     double jobTimeoutSeconds = 0;
     /** Per-worker RLIMIT_AS in MiB; an allocation beyond it fails
      *  with bad_alloc and the job is recorded as "job-oom".
      *  0 = unlimited. */
     std::uint64_t jobMemLimitMb = 0;
-    /** Worker heartbeat period, and how long the supervisor
-     *  tolerates silence before declaring the worker wedged. */
-    double heartbeatSeconds = 1.0;
+    /** With telemetry on, a busy worker that sends no Telemetry
+     *  frame for this long is SIGKILLed as stalled. 0 = off. */
     double heartbeatGraceSeconds = 30.0;
-    /** Respawn budget: per worker slot, and across the whole
-     *  campaign (-1 = workers * maxRespawnsPerWorker). Exhausting
-     *  either retires the slot; losing every slot degrades to
-     *  in-process execution. */
-    int maxRespawnsPerWorker = 3;
-    int respawnBudget = -1;
-    /** Exponential backoff between respawns of the same slot. */
-    double backoffBaseSeconds = 0.25;
-    double backoffMaxSeconds = 5.0;
     /** A job whose execution kills this many consecutive workers
      *  is quarantined: recorded as a classified failure with a
      *  crash report and never retried. */
     int poisonThreshold = 2;
     /** Deterministic fault-injection hook for the supervision
      *  tests: "[once:]MODE@JOBINDEX" with MODE one of
-     *  segv|abort|exit|hang|mute|oom (worker_pool.cc). Only active
+     *  segv|abort|exit|hang|oom (worker_pool.cc). Only active
      *  inside --worker processes. */
     std::string chaos;
     /** Signal-handler self-pipe read end; wakes the supervisor's
@@ -283,11 +275,11 @@ class CampaignRunner
 };
 
 /** Run one job with bounded infrastructure retry — the unit of
- *  execution shared by the thread backend, the worker processes,
- *  and the degraded in-process fallback. Never throws: simulation
- *  outcomes are classified, infra failures (including bad_alloc
- *  under RLIMIT_AS, recorded as "job-oom") exhaust
- *  CampaignSpec::maxRetries and are recorded. */
+ *  execution shared by the thread backend and the worker
+ *  processes. Never throws: simulation outcomes are classified,
+ *  infra failures (including bad_alloc under RLIMIT_AS, recorded
+ *  as "job-oom") exhaust CampaignSpec::maxRetries and are
+ *  recorded. */
 JobResult runCampaignJob(const CampaignSpec &spec, const JobSpec &job,
                          const std::string &outDir,
                          bool verifyEquivalence,

@@ -237,8 +237,6 @@ encodeWorkerInit(ByteWriter &w, const WorkerInit &init)
     w.str(init.outDir);
     w.str(init.chaos);
     w.u64(init.memLimitMb);
-    w.f64(init.jobTimeoutSeconds);
-    w.f64(init.heartbeatSeconds);
     w.u64(init.metricsPeriod);
     w.str(init.telemetryDir);
 }
@@ -253,8 +251,6 @@ decodeWorkerInit(ByteReader &r)
     init.outDir = r.str();
     init.chaos = r.str();
     init.memLimitMb = r.u64();
-    init.jobTimeoutSeconds = r.f64();
-    init.heartbeatSeconds = r.f64();
     init.metricsPeriod = r.u64();
     init.telemetryDir = r.str();
     return init;
@@ -338,20 +334,23 @@ writeFrame(int fd, WireType type, const ByteWriter &payload)
 }
 
 bool
-writeFileDurably(const std::string &path, const std::string &tmp,
-                 const std::vector<unsigned char> &data)
+replaceFile(const std::string &path, const std::string &tmp,
+            const std::vector<unsigned char> &data, bool durable)
 {
     const int fd =
         ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                0644);
     if (fd < 0)
         return false;
-    const bool ok = writeAll(fd, data) && ::fsync(fd) == 0;
+    const bool ok =
+        writeAll(fd, data) && (!durable || ::fsync(fd) == 0);
     ::close(fd);
     if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
         return false;
     }
+    if (!durable)
+        return true;
     // The rename is durable only once the directory entry is.
     const std::string dir =
         std::filesystem::path(path).parent_path().string();
@@ -376,9 +375,10 @@ writeSpecDescriptor(const std::string &dir, const SpecDescriptor &desc,
     encodeSpecDescriptor(w, desc);
     const auto &body = w.buffer();
     const std::string path = dir + "/campaign.wbc";
-    if (!writeFileDurably(path, path + ".tmp",
-                          frameBytes(WireType::Descriptor, body.data(),
-                                     body.size()))) {
+    if (!replaceFile(path, path + ".tmp",
+                     frameBytes(WireType::Descriptor, body.data(),
+                                body.size()),
+                     /*durable=*/true)) {
         err = "cannot write " + path + ": " + std::strerror(errno);
         return false;
     }
@@ -455,7 +455,8 @@ FrameReader::next(WireFrame &out)
         return false;
     out.type = WireType(type);
     out.payload.resize(std::size_t(len));
-    r.bytes(out.payload.data(), out.payload.size());
+    if (len) // an empty vector's data() may be null
+        r.bytes(out.payload.data(), out.payload.size());
     if (fnv1a64(out.payload.data(), out.payload.size()) != sum)
         throw ByteCodecError("frame checksum mismatch");
     _pos += 20 + std::size_t(len);

@@ -21,9 +21,9 @@
  * wrong fd); the reader throws ByteCodecError and the supervisor
  * treats the worker as crashed.
  *
- * Frames from a worker are written under a mutex (the heartbeat
- * thread shares the result pipe with the job loop), so a frame is
- * never interleaved with another even when it exceeds PIPE_BUF.
+ * A worker is single-threaded: its job loop writes each frame
+ * whole before the next, so frames never interleave even when one
+ * exceeds PIPE_BUF.
  */
 
 #ifndef WB_CAMPAIGN_JOB_CODEC_HH
@@ -42,20 +42,21 @@ namespace wb
 /** Frame types on the supervisor<->worker pipes. */
 enum class WireType : std::uint32_t
 {
-    Hello = 1,     //!< worker -> supervisor: protocol version + pid
-    Init = 2,      //!< supervisor -> worker: WorkerInit payload
-    RunJob = 3,    //!< supervisor -> worker: u64 job index
-    Heartbeat = 4, //!< worker -> supervisor: u64 current job (~0 idle)
-    JobDone = 5,   //!< worker -> supervisor: encodeJobResult bytes
-    Shutdown = 6,  //!< supervisor -> worker: drain and exit
-    Telemetry = 7, //!< worker -> supervisor: TelemetryFrame bytes
+    Hello = 1,      //!< worker -> supervisor: protocol version + pid
+    Init = 2,       //!< supervisor -> worker: WorkerInit payload
+    RunJob = 3,     //!< supervisor -> worker: u64 job index
+    JobDone = 5,    //!< worker -> supervisor: encodeJobResult bytes
+    Shutdown = 6,   //!< supervisor -> worker: drain and exit
+    Telemetry = 7,  //!< worker -> supervisor: TelemetryFrame bytes
     Descriptor = 8, //!< campaign.wbc's one frame (never on a pipe)
 };
 
 /** Wire protocol version; Hello carries it so a stale binary
  *  re-exec'd as a worker is detected instead of misparsed.
- *  v2: Telemetry frames + metricsPeriod/telemetryDir in Init. */
-constexpr std::uint32_t wireProtocolVersion = 2;
+ *  v2: Telemetry frames + metricsPeriod/telemetryDir in Init.
+ *  v3: no Heartbeat frames; Init drops the job timeout and the
+ *  heartbeat period. */
+constexpr std::uint32_t wireProtocolVersion = 3;
 
 struct WireFrame
 {
@@ -80,20 +81,18 @@ struct WorkerInit
     std::uint64_t jobCount = 0;       //!< supervisor's job list...
     std::uint64_t jobFingerprint = 0; //!< ...and its fingerprint
     std::string outDir;
-    std::string chaos;             //!< --chaos-worker spec ("" = off)
-    std::uint64_t memLimitMb = 0;  //!< RLIMIT_AS; 0 = unlimited
-    double jobTimeoutSeconds = 0;  //!< arms RLIMIT_CPU; 0 = off
-    double heartbeatSeconds = 1.0; //!< heartbeat period
+    std::string chaos;               //!< --chaos-worker spec ("" = off)
+    std::uint64_t memLimitMb = 0;    //!< RLIMIT_AS; 0 = unlimited
     std::uint64_t metricsPeriod = 0; //!< telemetry period; 0 = off
-    std::string telemetryDir;      //!< exposition sidecar dir
+    std::string telemetryDir;        //!< exposition sidecar dir
 };
 
 /**
  * One live snapshot shipped worker -> supervisor: the rolled-up
  * progress figures plus the NDJSON line the supervisor appends to
  * the job's per-job stream. Doubles as a liveness heartbeat: a busy
- * worker that stops producing Telemetry frames is sim-stalled even
- * if its wall-clock heartbeat thread still beats (worker_pool.cc).
+ * worker that stops producing Telemetry frames is sim-stalled and
+ * killed (worker_pool.cc).
  */
 struct TelemetryFrame
 {
@@ -123,13 +122,14 @@ bool writeFrame(int fd, WireType type, const unsigned char *payload,
                 std::size_t len);
 bool writeFrame(int fd, WireType type, const ByteWriter &payload);
 
-/** Durably replace @p path with @p data: write the private file
- *  @p tmp, fsync it, rename it over @p path, fsync the directory.
- *  A crash at any point leaves the old file or the new one (plus at
- *  worst a stray @p tmp), never a torn one. @return false on any
- *  I/O error. */
-bool writeFileDurably(const std::string &path, const std::string &tmp,
-                      const std::vector<unsigned char> &data);
+/** Atomically replace @p path with @p data: write the private file
+ *  @p tmp and rename it over @p path. A kill at any point leaves the
+ *  old file or the new one (plus at worst a stray @p tmp), never a
+ *  torn one. With @p durable, also fsync @p tmp before the rename
+ *  and the directory after it, so the same holds across power loss.
+ *  @return false on any I/O error. */
+bool replaceFile(const std::string &path, const std::string &tmp,
+                 const std::vector<unsigned char> &data, bool durable);
 
 /** Write @p desc as DIR/campaign.wbc: one Descriptor frame, durably.
  *  @return false with @p err set on I/O failure. */

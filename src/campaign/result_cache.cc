@@ -31,7 +31,9 @@ resultSchemaFingerprint()
     return fnv1a64(header, sizeof(header) - 1);
 }
 
-ResultCache::ResultCache(std::string dir) : _dir(std::move(dir)) {}
+ResultCache::ResultCache(std::string dir, bool durable)
+    : _dir(std::move(dir)), _durable(durable)
+{}
 
 std::string
 ResultCache::keyString(const CampaignSpec &spec, const JobSpec &job,
@@ -124,14 +126,14 @@ ResultCache::store(const std::string &key,
     // and the main threads of forked siblings can hash identically.
     // Racing writers then each build a private tmp file and the
     // rename stays atomic — the entry is always one writer's
-    // complete bytes, and the fsyncs make it survive power loss.
+    // complete bytes.
     const std::string tmp =
         path + ".tmp." + std::to_string(std::uint64_t(::getpid())) +
         "." +
         std::to_string(std::uint64_t(
             std::hash<std::thread::id>{}(
                 std::this_thread::get_id())));
-    writeFileDurably(path, tmp, buf);
+    replaceFile(path, tmp, buf, _durable);
 }
 
 void

@@ -12,16 +12,18 @@
  * schema change invalidates every stale entry at once.
  *
  * Entries are one file per key under the cache directory, written
- * atomically and durably (tmp + fsync + rename + directory fsync),
- * so concurrent campaigns can share a cache and a kill or power loss
- * never leaves a torn entry. Each entry echoes its full key string;
- * a hash collision is detected by the echo comparison and treated as
- * a miss, never as a wrong result.
+ * atomically (private tmp file + rename), so concurrent campaigns
+ * can share a cache and a kill never leaves a torn entry. Each entry
+ * echoes its full key string and checksums its body; a hash
+ * collision, or an entry torn by power loss, fails those checks and
+ * is treated as a miss, never as a wrong result. So the shared cache
+ * skips fsync.
  *
  * A run directory's jobs/ is a run-private instance of the same
  * store, keyed "job=<index> " + keyString(): it holds every finished
  * job, which is what `wbcampaign --resume` replays
- * (campaign_runner.hh).
+ * (campaign_runner.hh). It is durable: each store also fsyncs the
+ * file before the rename and the directory after it.
  */
 
 #ifndef WB_CAMPAIGN_RESULT_CACHE_HH
@@ -45,8 +47,9 @@ class ResultCache
     //!< "WBCH\0..." little-endian
     static constexpr std::uint32_t version = 1;
 
-    /** @param dir cache directory (created on first store). */
-    explicit ResultCache(std::string dir);
+    /** @param dir cache directory (created on first store).
+     *  @param durable fsync every store (run records). */
+    explicit ResultCache(std::string dir, bool durable = false);
 
     /**
      * Canonical key string for one job. Builds the job's config and
@@ -61,8 +64,9 @@ class ResultCache
     /** @return true and fill @p out on a verified hit. */
     bool lookup(const std::string &key, JobResult &out) const;
 
-    /** Store @p res under @p key (atomic and durable; errors are
-     *  ignored — a missing entry only means the job runs again). */
+    /** Store @p res under @p key (atomic, and durable if the cache
+     *  is; errors are ignored — a missing entry only means the job
+     *  runs again). */
     void store(const std::string &key, const JobResult &res) const;
 
     /** Remove every entry (and stray tmp file); other files in the
@@ -74,6 +78,7 @@ class ResultCache
   private:
     std::string entryPath(const std::string &key) const;
     std::string _dir;
+    bool _durable;
 };
 
 } // namespace wb

@@ -10,7 +10,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -84,10 +83,11 @@ parseChaosSpec(const std::string &spec, std::string &mode,
         return false;
     mode = s.substr(0, at);
     if (mode != "segv" && mode != "abort" && mode != "exit" &&
-        mode != "hang" && mode != "mute" && mode != "oom")
+        mode != "hang" && mode != "oom")
         return false;
     return parseCount("", s.substr(at + 1), index).empty();
 }
+
 
 namespace
 {
@@ -101,29 +101,14 @@ secondsSince(SteadyClock::time_point t)
         .count();
 }
 
-/** Shared between the worker's job loop and its detached heartbeat
- *  thread; heap-owned so the thread can outlive campaignWorkerMain's
- *  stack frame during process teardown. */
-struct HeartbeatState
-{
-    std::mutex writeMu; //!< one frame at a time on the result pipe
-    std::atomic<std::uint64_t> job{~0ull};
-    std::atomic<bool> mute{false};
-    double period = 1.0;
-    int fd = 4;
-};
-
 /** Deterministic worker-fault hook: "[once:]MODE@JOBINDEX". The
  *  "once:" prefix fires only the first time any worker of this
  *  campaign reaches the job (an O_EXCL marker file arbitrates), so
  *  tests can exercise the respawn-then-succeed path. */
 void
-maybeChaos(std::string spec, std::size_t job,
-           const std::string &out_dir, HeartbeatState &hb)
+maybeChaos(const std::string &spec, std::size_t job,
+           const std::string &out_dir)
 {
-    if (spec.empty())
-        if (const char *env = std::getenv("WB_CHAOS_WORKER"))
-            spec = env;
     if (spec.empty())
         return;
     std::string mode;
@@ -149,13 +134,10 @@ maybeChaos(std::string spec, std::size_t job,
         std::abort();
     if (mode == "exit")
         std::_Exit(9);
-    if (mode == "hang" || mode == "mute") {
-        if (mode == "mute")
-            hb.mute.store(true, std::memory_order_relaxed);
+    if (mode == "hang")
         for (;;)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(50));
-    }
     if (mode == "oom") {
         // Allocate until RLIMIT_AS refuses (bad_alloc propagates to
         // the job loop, which records "job-oom"). Bounded so a
@@ -179,28 +161,6 @@ void
 onWorkerStopSignal(int)
 {
     g_workerStop.store(true, std::memory_order_relaxed);
-}
-
-/** Soft RLIMIT_CPU = CPU already used + the job deadline + slack,
- *  re-armed before every job. A worker that spins with signals
- *  blocked still dies (SIGXCPU), which the supervisor classifies as
- *  a job-timeout. */
-void
-armCpuLimit(double job_timeout)
-{
-    struct rusage ru;
-    if (getrusage(RUSAGE_SELF, &ru) != 0)
-        return;
-    const rlim_t used =
-        rlim_t(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec);
-    struct rlimit rl;
-    if (getrlimit(RLIMIT_CPU, &rl) != 0)
-        return;
-    rlim_t want = used + rlim_t(job_timeout) + 2;
-    if (rl.rlim_max != RLIM_INFINITY && want > rl.rlim_max)
-        want = rl.rlim_max;
-    rl.rlim_cur = want;
-    setrlimit(RLIMIT_CPU, &rl);
 }
 
 JobResult
@@ -237,6 +197,7 @@ campaignWorkerMain()
     sigaction(SIGPIPE, &ign, nullptr);
 
     const int in_fd = 3;
+    const int out_fd = 4;
     FrameReader reader;
     auto readFrame = [&](WireFrame &f) -> bool {
         for (;;) {
@@ -299,28 +260,19 @@ campaignWorkerMain()
         }
     }
 
-    auto hb = std::make_shared<HeartbeatState>();
-    hb->period =
-        init.heartbeatSeconds > 0 ? init.heartbeatSeconds : 1.0;
-    auto send = [&hb](WireType t, const ByteWriter &bw) -> bool {
-        std::lock_guard<std::mutex> lk(hb->writeMu);
-        return writeFrame(hb->fd, t, bw);
-    };
-
     // Telemetry: snapshot lines leave as Telemetry frames; the
-    // supervisor owns the sidecar files. Serialised through the
-    // same mutex as heartbeats, so frames never interleave.
+    // supervisor owns the sidecar files.
     TelemetryHooks tele;
     const TelemetryHooks *telep = nullptr;
     if (init.metricsPeriod > 0) {
         tele.period = Tick(init.metricsPeriod);
         tele.dir = init.telemetryDir;
-        tele.emit = [&send](std::size_t job,
-                            const MetricsSummary &sum,
-                            const std::string &line) {
+        tele.emit = [out_fd](std::size_t job,
+                             const MetricsSummary &sum,
+                             const std::string &line) {
             ByteWriter bw;
             encodeTelemetryFrame(bw, TelemetryFrame{job, sum, line});
-            send(WireType::Telemetry, bw);
+            writeFrame(out_fd, WireType::Telemetry, bw);
         };
         telep = &tele;
     }
@@ -329,26 +281,9 @@ campaignWorkerMain()
         ByteWriter hello;
         hello.u32(wireProtocolVersion);
         hello.u64(std::uint64_t(::getpid()));
-        if (!send(WireType::Hello, hello))
+        if (!writeFrame(out_fd, WireType::Hello, hello))
             return 3;
     }
-
-    // Heartbeat thread: proves the process still schedules while a
-    // long job runs. Detached on purpose — it shares only the
-    // heap-owned state and dies with the process.
-    std::thread([hb] {
-        for (;;) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(hb->period));
-            if (hb->mute.load(std::memory_order_relaxed))
-                continue;
-            ByteWriter bw;
-            bw.u64(hb->job.load(std::memory_order_relaxed));
-            std::lock_guard<std::mutex> lk(hb->writeMu);
-            if (!writeFrame(hb->fd, WireType::Heartbeat, bw))
-                return; // supervisor is gone
-        }
-    }).detach();
 
     for (;;) {
         if (!readFrame(f))
@@ -367,24 +302,19 @@ campaignWorkerMain()
         if (i >= jobs.size())
             return 3;
 
-        if (init.jobTimeoutSeconds > 0)
-            armCpuLimit(init.jobTimeoutSeconds);
-        hb->job.store(i, std::memory_order_relaxed);
-
         JobResult res;
         try {
-            maybeChaos(init.chaos, i, init.outDir, *hb);
+            maybeChaos(init.chaos, i, init.outDir);
             res = runCampaignJob(spec, jobs[i], init.outDir,
                                  init.spec.verifyEquivalence,
                                  telep);
         } catch (const std::bad_alloc &) {
             res = oomResult(jobs[i], init.memLimitMb);
         }
-        hb->job.store(~0ull, std::memory_order_relaxed);
 
         ByteWriter bw;
         encodeJobResult(bw, res);
-        if (!send(WireType::JobDone, bw))
+        if (!writeFrame(out_fd, WireType::JobDone, bw))
             return 3;
         if (g_workerStop.load(std::memory_order_relaxed))
             return 5;
@@ -405,37 +335,39 @@ struct Worker
     int cmdFd = -1;
     int resFd = -1;
     FrameReader reader;
-    bool alive = false;
+    bool alive = false; //!< false = slot retired (handleDeath
+                        //!< respawns a charged death at once)
     bool helloSeen = false;
     bool busy = false;
     std::size_t job = 0;
     SteadyClock::time_point jobStart;
-    SteadyClock::time_point lastBeat;
-    /** Last Telemetry frame (telemetry mode only); a busy worker
-     *  whose simulation stops snapshotting is wedged even when its
-     *  wall-clock heartbeat thread still beats. */
+    /** Last Telemetry frame of the job in flight (telemetry mode
+     *  only): the stall rule's clock. */
     SteadyClock::time_point lastTelemetry;
 
     enum class Kill
     {
         None,
-        Deadline,  //!< per-job wall-clock deadline exceeded
-        Heartbeat, //!< no heartbeat within the grace window
-        Stalled,   //!< busy but no telemetry within the grace window
+        Deadline, //!< per-job wall-clock deadline exceeded
+        Stalled,  //!< busy but no telemetry within the grace window
     };
     Kill kill = Kill::None;
-
-    int respawns = 0; //!< respawns scheduled for this slot
-    bool pendingRespawn = false;
-    SteadyClock::time_point respawnAt;
-    bool retired = false; //!< no further respawns
 };
+
+/** "killed by signal 11" / "exited with status 3". */
+std::string
+describeExit(int wst)
+{
+    if (WIFSIGNALED(wst))
+        return "killed by signal " + std::to_string(WTERMSIG(wst));
+    return "exited with status " +
+           std::to_string(WIFEXITED(wst) ? WEXITSTATUS(wst) : -1);
+}
 
 } // namespace
 
 WorkerPoolStats
-runWorkerPool(const CampaignSpec &spec,
-              const std::vector<JobSpec> &jobs,
+runWorkerPool(const std::vector<JobSpec> &jobs,
               const CampaignRunner::Options &opts, int nworkers,
               std::atomic<int> &busy, const PoolReuseFn &reuse,
               const PoolCommitFn &commit,
@@ -473,8 +405,6 @@ runWorkerPool(const CampaignSpec &spec,
     init.outDir = opts.outDir;
     init.chaos = P.chaos;
     init.memLimitMb = P.jobMemLimitMb;
-    init.jobTimeoutSeconds = P.jobTimeoutSeconds;
-    init.heartbeatSeconds = P.heartbeatSeconds;
     if (telemetry && telemetry->enabled()) {
         init.metricsPeriod = std::uint64_t(telemetry->period);
         init.telemetryDir = telemetry->dir;
@@ -483,13 +413,9 @@ runWorkerPool(const CampaignSpec &spec,
     encodeWorkerInit(initw, init);
     const std::vector<unsigned char> init_bytes = initw.take();
 
-    const std::string exe =
-        P.exePath.empty() ? "/proc/self/exe" : P.exePath;
-    const int per_slot = std::max(0, P.maxRespawnsPerWorker);
-    const int budget = P.respawnBudget >= 0
-                           ? P.respawnBudget
-                           : nworkers * per_slot;
     const int poison = std::max(1, P.poisonThreshold);
+    const bool stall_rule = telemetry && telemetry->enabled() &&
+                            P.heartbeatGraceSeconds > 0;
 
     // The supervisor must see EPIPE, not die, when it writes to a
     // worker that just crashed.
@@ -501,16 +427,14 @@ runWorkerPool(const CampaignSpec &spec,
         std::size_t(nworkers), pending.size()));
     std::vector<Worker> w(static_cast<std::size_t>(nslots));
     std::map<std::size_t, int> consec_kills;
-    int total_respawns = 0;
-    bool degraded = false;
-    bool in_process = false;
     bool draining = false;
+    std::string retired_why; //!< why the last slot retired
 
-    auto aliveCount = [&w] {
-        int n = 0;
+    auto anyAlive = [&w] {
         for (const Worker &wk : w)
-            n += wk.alive ? 1 : 0;
-        return n;
+            if (wk.alive)
+                return true;
+        return false;
     };
     auto anyBusy = [&w] {
         for (const Worker &wk : w)
@@ -518,19 +442,16 @@ runWorkerPool(const CampaignSpec &spec,
                 return true;
         return false;
     };
-    auto respawnsScheduled = [&w] {
-        for (const Worker &wk : w)
-            if (!wk.alive && wk.pendingRespawn)
-                return true;
-        return false;
-    };
 
     auto spawn = [&](Worker &wk) -> bool {
         int cmd[2] = {-1, -1};
         int res[2] = {-1, -1};
-        if (::pipe(cmd) != 0)
+        if (::pipe(cmd) != 0) {
+            retired_why = std::string("pipe: ") + std::strerror(errno);
             return false;
+        }
         if (::pipe(res) != 0) {
+            retired_why = std::string("pipe: ") + std::strerror(errno);
             ::close(cmd[0]);
             ::close(cmd[1]);
             return false;
@@ -539,6 +460,7 @@ runWorkerPool(const CampaignSpec &spec,
             fcntl(fd, F_SETFD, FD_CLOEXEC);
         const pid_t pid = ::fork();
         if (pid < 0) {
+            retired_why = std::string("fork: ") + std::strerror(errno);
             for (int fd : {cmd[0], cmd[1], res[0], res[1]})
                 ::close(fd);
             return false;
@@ -555,7 +477,7 @@ runWorkerPool(const CampaignSpec &spec,
             ::dup2(2, 1);
             signal(SIGINT, SIG_DFL);
             signal(SIGTERM, SIG_DFL);
-            ::execl(exe.c_str(), exe.c_str(), "--worker",
+            ::execl("/proc/self/exe", "/proc/self/exe", "--worker",
                     static_cast<char *>(nullptr));
             _exit(127);
         }
@@ -570,8 +492,6 @@ runWorkerPool(const CampaignSpec &spec,
         wk.helloSeen = false;
         wk.busy = false;
         wk.kill = Worker::Kill::None;
-        wk.pendingRespawn = false;
-        wk.lastBeat = SteadyClock::now();
         writeFrame(wk.cmdFd, WireType::Init, init_bytes.data(),
                    init_bytes.size());
         return true;
@@ -605,38 +525,12 @@ runWorkerPool(const CampaignSpec &spec,
         ++st.quarantined;
     };
 
-    auto retireOrRespawn = [&](Worker &wk) {
-        if (wk.retired)
-            return;
-        if (draining || (pending.empty() && !anyBusy())) {
-            wk.retired = true; // campaign is over; not a degradation
-            return;
-        }
-        if (wk.respawns < per_slot && total_respawns < budget) {
-            double delay = P.backoffBaseSeconds;
-            for (int k = 0; k < wk.respawns && k < 16; ++k)
-                delay *= 2;
-            if (delay > P.backoffMaxSeconds)
-                delay = P.backoffMaxSeconds;
-            ++wk.respawns;
-            ++total_respawns;
-            wk.pendingRespawn = true;
-            wk.respawnAt =
-                SteadyClock::now() +
-                std::chrono::duration_cast<SteadyClock::duration>(
-                    std::chrono::duration<double>(delay));
-        } else {
-            wk.retired = true;
-            if (!degraded) {
-                // Respawn budget exhausted with work remaining:
-                // from here the campaign drains on whatever
-                // capacity survives.
-                degraded = true;
-                ++st.degradedTransitions;
-            }
-        }
-    };
-
+    // One rule per death. A busy worker's death is charged to its
+    // job: the job is requeued or, at the poison threshold,
+    // quarantined, and the slot is respawned at once, so every
+    // respawn spends one unit of some job's poison credit. Any
+    // other death (before Hello, or idle) says nothing about a job
+    // and retires the slot for good.
     auto handleDeath = [&](Worker &wk) {
         if (!wk.alive)
             return;
@@ -647,87 +541,63 @@ runWorkerPool(const CampaignSpec &spec,
         int wst = 0;
         while (::waitpid(wk.pid, &wst, 0) < 0 && errno == EINTR) {
         }
-        const bool signaled = WIFSIGNALED(wst);
-        const int sig = signaled ? WTERMSIG(wst) : 0;
-        const int code = WIFEXITED(wst) ? WEXITSTATUS(wst) : -1;
-        const bool clean =
-            WIFEXITED(wst) && (code == 0 || code == 5);
 
-        if (wk.busy) {
-            const std::size_t i = wk.job;
-            wk.busy = false;
-            busy.fetch_sub(1, std::memory_order_relaxed);
-
-            RunOutcome outcome = RunOutcome::Panic;
-            std::string verdict = "worker-crash";
-            std::string detail;
-            if (wk.kill == Worker::Kill::Deadline) {
-                outcome = RunOutcome::Deadlock;
-                verdict = "job-timeout";
-                char buf[96];
-                std::snprintf(buf, sizeof(buf),
-                              "supervisor killed the worker: "
-                              "per-job deadline (%gs) exceeded",
-                              P.jobTimeoutSeconds);
-                detail = buf;
-                ++st.jobTimeouts;
-            } else if (wk.kill == Worker::Kill::Heartbeat) {
-                outcome = RunOutcome::Deadlock;
-                verdict = "job-timeout";
-                char buf[96];
-                std::snprintf(buf, sizeof(buf),
-                              "supervisor killed the worker: no "
-                              "heartbeat for %gs",
-                              P.heartbeatGraceSeconds);
-                detail = buf;
-                ++st.jobTimeouts;
-            } else if (wk.kill == Worker::Kill::Stalled) {
-                outcome = RunOutcome::Deadlock;
-                verdict = "job-timeout";
-                char buf[112];
-                std::snprintf(buf, sizeof(buf),
-                              "supervisor killed the worker: no "
-                              "telemetry snapshot for %gs "
-                              "(simulation stalled)",
-                              P.heartbeatGraceSeconds);
-                detail = buf;
-                ++st.jobTimeouts;
-            } else if (signaled && sig == SIGXCPU) {
-                outcome = RunOutcome::Deadlock;
-                verdict = "job-timeout";
-                detail = "worker exceeded RLIMIT_CPU (SIGXCPU)";
-                ++st.jobTimeouts;
-            } else if (signaled) {
-                detail = "worker killed by signal " +
-                         std::to_string(sig);
+        if (!wk.busy) {
+            const bool clean = WIFEXITED(wst) &&
+                               (WEXITSTATUS(wst) == 0 ||
+                                WEXITSTATUS(wst) == 5);
+            if (!clean && !draining)
                 ++st.workerCrashes;
-            } else {
-                detail = "worker exited with status " +
-                         std::to_string(code) +
-                         " while a job was in flight";
-                ++st.workerCrashes;
-            }
+            retired_why = "worker " + describeExit(wst) +
+                          (wk.helloSeen ? " while idle"
+                                        : " before its Hello");
+            return;
+        }
 
-            if (!wk.helloSeen) {
-                // Died before initialising: says nothing about the
-                // job, so no poison credit.
-                pending.push_front(i);
-            } else {
-                const int kills = ++consec_kills[i];
-                if (kills >= poison)
-                    quarantine(i, outcome, verdict,
-                               detail + " (" +
-                                   std::to_string(kills) +
-                                   " consecutive worker deaths "
-                                   "on this job)",
-                               kills);
-                else
-                    pending.push_front(i);
-            }
-        } else if (!clean && !draining) {
+        const std::size_t i = wk.job;
+        wk.busy = false;
+        busy.fetch_sub(1, std::memory_order_relaxed);
+
+        RunOutcome outcome = RunOutcome::Deadlock;
+        std::string verdict = "job-timeout";
+        char buf[112];
+        if (wk.kill == Worker::Kill::Deadline) {
+            std::snprintf(buf, sizeof(buf),
+                          "supervisor killed the worker: per-job "
+                          "deadline (%gs) exceeded",
+                          P.jobTimeoutSeconds);
+            ++st.jobTimeouts;
+        } else if (wk.kill == Worker::Kill::Stalled) {
+            std::snprintf(buf, sizeof(buf),
+                          "supervisor killed the worker: no "
+                          "telemetry snapshot for %gs (simulation "
+                          "stalled)",
+                          P.heartbeatGraceSeconds);
+            ++st.jobTimeouts;
+        } else {
+            outcome = RunOutcome::Panic;
+            verdict = "worker-crash";
+            std::snprintf(buf, sizeof(buf), "worker %s%s",
+                          describeExit(wst).c_str(),
+                          WIFSIGNALED(wst)
+                              ? ""
+                              : " while a job was in flight");
             ++st.workerCrashes;
         }
-        retireOrRespawn(wk);
+        const std::string detail = buf;
+
+        const int kills = ++consec_kills[i];
+        if (kills >= poison)
+            quarantine(i, outcome, verdict,
+                       detail + " (" + std::to_string(kills) +
+                           " consecutive worker deaths on this "
+                           "job)",
+                       kills);
+        else
+            pending.push_front(i);
+
+        if (!draining && spawn(wk))
+            ++st.workerRestarts;
     };
 
     auto processFrames = [&](Worker &wk) {
@@ -739,22 +609,18 @@ runWorkerPool(const CampaignSpec &spec,
                     ByteReader r(fr.payload);
                     if (r.u32() != wireProtocolVersion) {
                         // A stale binary answered the exec; its
-                        // death is handled like any other crash.
+                        // death retires the slot like any other
+                        // death before Hello.
                         ::kill(wk.pid, SIGKILL);
                         return;
                     }
                     wk.helloSeen = true;
-                    wk.lastBeat = SteadyClock::now();
                     break;
                 }
-                case WireType::Heartbeat:
-                    wk.lastBeat = SteadyClock::now();
-                    break;
                 case WireType::Telemetry: {
                     ByteReader r(fr.payload);
                     const TelemetryFrame t = decodeTelemetryFrame(r);
-                    wk.lastBeat = SteadyClock::now();
-                    wk.lastTelemetry = wk.lastBeat;
+                    wk.lastTelemetry = SteadyClock::now();
                     if (telemetry && telemetry->emit)
                         telemetry->emit(std::size_t(t.job), t.sum,
                                         t.line);
@@ -763,7 +629,6 @@ runWorkerPool(const CampaignSpec &spec,
                 case WireType::JobDone: {
                     ByteReader r(fr.payload);
                     JobResult res = decodeJobResult(r);
-                    wk.lastBeat = SteadyClock::now();
                     if (!wk.busy || res.spec.index != wk.job) {
                         ::kill(wk.pid, SIGKILL); // protocol desync
                         return;
@@ -824,23 +689,26 @@ runWorkerPool(const CampaignSpec &spec,
                 pending.pop_front();
                 if (reuse(i))
                     continue;
+                ByteWriter bw;
+                bw.u64(i);
+                if (!writeFrame(wk.cmdFd, WireType::RunJob, bw)) {
+                    // Died idle: the job never reached it.
+                    pending.push_front(i);
+                    handleDeath(wk);
+                    break;
+                }
                 wk.busy = true;
                 wk.job = i;
                 wk.jobStart = SteadyClock::now();
                 wk.lastTelemetry = wk.jobStart;
                 busy.fetch_add(1, std::memory_order_relaxed);
-                ByteWriter bw;
-                bw.u64(i);
-                if (!writeFrame(wk.cmdFd, WireType::RunJob, bw))
-                    handleDeath(wk); // died idle; job is requeued
                 break;
             }
         }
     };
 
     for (Worker &wk : w)
-        if (!spawn(wk))
-            retireOrRespawn(wk);
+        spawn(wk);
 
     for (;;) {
         if (stopRequested() && !draining) {
@@ -848,23 +716,10 @@ runWorkerPool(const CampaignSpec &spec,
             // job, report it, and exit through the cooperative
             // exit-5 path; nothing new is assigned.
             draining = true;
-            for (Worker &wk : w) {
-                wk.pendingRespawn = false;
+            for (Worker &wk : w)
                 if (wk.alive)
                     ::kill(wk.pid, SIGTERM);
-            }
         }
-
-        if (!draining)
-            for (Worker &wk : w)
-                if (!wk.alive && wk.pendingRespawn &&
-                    SteadyClock::now() >= wk.respawnAt) {
-                    wk.pendingRespawn = false;
-                    if (spawn(wk))
-                        ++st.workerRestarts;
-                    else
-                        retireOrRespawn(wk);
-                }
 
         assignJobs();
 
@@ -872,33 +727,12 @@ runWorkerPool(const CampaignSpec &spec,
             break;
         if (draining && !anyBusy())
             break;
-
-        // Graceful degradation, last resort: every worker slot is
-        // gone and none will return, but jobs remain. Run them in
-        // this process — exactly the thread backend's execution
-        // path, so results stay bit-identical — rather than abandon
-        // a nearly-finished campaign.
-        if (!draining && aliveCount() == 0 &&
-            !respawnsScheduled()) {
-            if (!in_process) {
-                in_process = true;
-                ++st.degradedTransitions;
-            }
-            while (!pending.empty() && !stopRequested()) {
-                const std::size_t i = pending.front();
-                pending.pop_front();
-                if (reuse(i))
-                    continue;
-                busy.fetch_add(1, std::memory_order_relaxed);
-                JobResult res = runCampaignJob(
-                    spec, jobs[i], opts.outDir,
-                    opts.verifyEquivalence, telemetry);
-                busy.fetch_sub(1, std::memory_order_relaxed);
-                ++st.inProcessJobs;
-                consec_kills.erase(i);
-                commit(i, std::move(res));
-            }
-            continue;
+        if (!anyAlive()) {
+            // Every slot retired with jobs left. They stay
+            // unrecorded, so --resume runs them later; none runs in
+            // this process.
+            st.abandoned = retired_why;
+            break;
         }
 
         std::vector<pollfd> fds;
@@ -916,28 +750,18 @@ runWorkerPool(const CampaignSpec &spec,
         // second per wake (worker results and wakeFd writes always
         // interrupt the poll regardless of the timeout).
         double nearest = 1.0;
-        const auto nowTp = SteadyClock::now();
-        auto consider = [&nearest](double remain) {
-            if (remain < nearest)
-                nearest = remain;
-        };
         for (Worker &wk : w) {
-            if (wk.alive && wk.kill == Worker::Kill::None) {
-                if (wk.busy && P.jobTimeoutSeconds > 0)
-                    consider(P.jobTimeoutSeconds -
-                             secondsSince(wk.jobStart));
-                if (P.heartbeatGraceSeconds > 0)
-                    consider(P.heartbeatGraceSeconds -
-                             secondsSince(wk.lastBeat));
-                if (wk.busy && telemetry && telemetry->enabled() &&
-                    P.heartbeatGraceSeconds > 0)
-                    consider(P.heartbeatGraceSeconds -
-                             secondsSince(wk.lastTelemetry));
-            }
-            if (!wk.alive && wk.pendingRespawn)
-                consider(std::chrono::duration<double>(
-                             wk.respawnAt - nowTp)
-                             .count());
+            if (!wk.alive || !wk.busy ||
+                wk.kill != Worker::Kill::None)
+                continue;
+            if (P.jobTimeoutSeconds > 0)
+                nearest = std::min(nearest,
+                                   P.jobTimeoutSeconds -
+                                       secondsSince(wk.jobStart));
+            if (stall_rule)
+                nearest = std::min(nearest,
+                                   P.heartbeatGraceSeconds -
+                                       secondsSince(wk.lastTelemetry));
         }
         const int timeoutMs = std::clamp(
             int(nearest * 1000.0) + 1, 1, 1000);
@@ -959,34 +783,24 @@ runWorkerPool(const CampaignSpec &spec,
                     drainWorkerFd(*owners[k]);
         }
 
-        // Supervision deadlines. SIGKILL, not SIGTERM: a wedged
+        // The two liveness rules. SIGKILL, not SIGTERM: a wedged
         // job will not cooperate, and the kill reason is already
-        // recorded for classification.
+        // recorded for classification. The stall rule catches a
+        // job whose simulation stopped producing snapshots. (Pick
+        // the snapshot period well below grace x sim-speed, or slow
+        // jobs will be killed.)
         for (Worker &wk : w) {
-            if (!wk.alive || wk.kill != Worker::Kill::None)
+            if (!wk.alive || !wk.busy ||
+                wk.kill != Worker::Kill::None)
                 continue;
-            if (wk.busy && P.jobTimeoutSeconds > 0 &&
-                secondsSince(wk.jobStart) > P.jobTimeoutSeconds) {
+            if (P.jobTimeoutSeconds > 0 &&
+                secondsSince(wk.jobStart) > P.jobTimeoutSeconds)
                 wk.kill = Worker::Kill::Deadline;
-                ::kill(wk.pid, SIGKILL);
-            } else if (P.heartbeatGraceSeconds > 0 &&
-                       secondsSince(wk.lastBeat) >
-                           P.heartbeatGraceSeconds) {
-                wk.kill = Worker::Kill::Heartbeat;
-                ::kill(wk.pid, SIGKILL);
-            } else if (wk.busy && telemetry &&
-                       telemetry->enabled() &&
-                       P.heartbeatGraceSeconds > 0 &&
-                       secondsSince(wk.lastTelemetry) >
-                           P.heartbeatGraceSeconds) {
-                // The wall-clock heartbeat still beats, but the
-                // simulation stopped producing snapshots: the job
-                // is wedged in a way only sim progress reveals.
-                // (Pick the snapshot period well below
-                // grace x sim-speed, or slow jobs will be killed.)
+            else if (stall_rule && secondsSince(wk.lastTelemetry) >
+                                       P.heartbeatGraceSeconds)
                 wk.kill = Worker::Kill::Stalled;
+            if (wk.kill != Worker::Kill::None)
                 ::kill(wk.pid, SIGKILL);
-            }
         }
     }
 

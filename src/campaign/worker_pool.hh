@@ -15,23 +15,27 @@
  *     checksummed frames over the pipes (job_codec.hh) using the
  *     same bit-exact codec as the result cache and the run records.
  *   - A worker that dies is reaped and classified from its wait
- *     status: killed by the per-job deadline or heartbeat loss ->
- *     "job-timeout" (exit taxonomy 3, like a deadlock); killed by a
- *     signal or a dirty exit -> "worker-crash" (taxonomy 4, like a
- *     panic). An allocation refused by RLIMIT_AS surfaces as
- *     bad_alloc inside the worker and is recorded gracefully as
- *     "job-oom" (taxonomy 4) without killing anything.
- *   - The in-flight job of a dead worker is retried on another
- *     worker. A job that kills poisonThreshold consecutive workers
- *     is quarantined: recorded as a classified failure with a
- *     synthesized crash report, never retried (not even by
- *     --resume: the quarantine is recorded in the run directory
- *     like any other result).
- *   - Dead workers are respawned with exponential backoff, bounded
- *     per slot and per campaign. When the budget runs out the pool
- *     degrades instead of failing: remaining jobs drain on the
- *     surviving workers, or — with no workers left — in-process as
- *     a last resort. Degradations are counted, not fatal.
+ *     status: killed by the per-job deadline or the telemetry stall
+ *     rule -> "job-timeout" (exit taxonomy 3, like a deadlock);
+ *     killed by a signal or a dirty exit -> "worker-crash"
+ *     (taxonomy 4, like a panic). An allocation refused by
+ *     RLIMIT_AS surfaces as bad_alloc inside the worker and is
+ *     recorded gracefully as "job-oom" (taxonomy 4) without killing
+ *     anything.
+ *   - One restart rule: a death while busy is charged to the job in
+ *     flight. The job is retried on another worker, or quarantined
+ *     once it has killed poisonThreshold consecutive workers
+ *     (recorded as a classified failure with a synthesized crash
+ *     report, never retried, not even by --resume), and the slot
+ *     is respawned at once. So every respawn spends one job's
+ *     poison credit, and a campaign makes at most poison x jobs of
+ *     them. A worker that cannot be spawned, or dies before its
+ *     Hello or while idle, retires its slot. With every slot
+ *     retired the pool stops and leaves the unrun jobs unrecorded
+ *     for --resume; no job ever runs in the supervisor.
+ *   - Two liveness rules, both a SIGKILL from the supervisor: the
+ *     wall-clock per-job deadline, and (with telemetry) a busy
+ *     worker that sends no Telemetry frame for the grace window.
  *
  * Record and cache lookups/stores and aggregation all stay on the
  * supervisor side, so resume semantics and the byte-identical
@@ -51,19 +55,6 @@
 namespace wb
 {
 
-/** What supervision did during one campaign (sidecar-only;
- *  mirrored into CampaignResult by the runner). */
-struct WorkerPoolStats
-{
-    std::size_t workerRestarts = 0;
-    std::size_t workerCrashes = 0;
-    std::size_t jobTimeouts = 0;
-    std::size_t jobOoms = 0;
-    std::size_t quarantined = 0;
-    std::size_t degradedTransitions = 0;
-    std::size_t inProcessJobs = 0;
-};
-
 /** Rebuild a campaign spec from its descriptor ("builtin" name or
  *  embedded manifest text, plus the CLI overrides). Shared by
  *  wbcampaign (fresh and --resume) and the worker processes so all
@@ -74,9 +65,8 @@ bool buildCampaignSpec(const SpecDescriptor &desc, CampaignSpec &out,
                        std::string &err);
 
 /** Validate/parse a --chaos-worker spec: "[once:]MODE@JOBINDEX",
- *  MODE in segv|abort|exit|hang|mute|oom. The hook fires only
- *  inside --worker processes (ProcessPoolOptions::chaos or the
- *  WB_CHAOS_WORKER environment variable). */
+ *  MODE in segv|abort|exit|hang|oom. The hook fires only inside
+ *  --worker processes (ProcessPoolOptions::chaos). */
 bool parseChaosSpec(const std::string &spec, std::string &mode,
                     std::size_t &index, bool &once);
 
@@ -90,19 +80,18 @@ using PoolReuseFn = std::function<bool(std::size_t)>;
 using PoolCommitFn = std::function<void(std::size_t, JobResult &&)>;
 
 /** Execute every job on a supervised pool of worker processes.
- *  Blocks until all jobs are committed or the stop flag drained the
- *  pool.
+ *  Blocks until all jobs are committed, the stop flag drained the
+ *  pool, or every slot retired (WorkerPoolStats::abandoned says
+ *  why).
  *
  *  With @p telemetry enabled, workers stream Telemetry frames
  *  (job_codec.hh) that the supervisor routes into the hooks' emit —
  *  the same sink the thread backend uses, so per-job sidecars stay
- *  byte-identical across backends. The frames also sharpen hang
- *  detection: a busy worker whose simulation stops producing
- *  snapshots for heartbeatGraceSeconds is killed and its job
- *  recorded as "job-timeout", even while the wall-clock heartbeat
- *  thread still beats. */
-WorkerPoolStats runWorkerPool(const CampaignSpec &spec,
-                              const std::vector<JobSpec> &jobs,
+ *  byte-identical across backends. The frames also drive the stall
+ *  rule: a busy worker whose simulation stops producing snapshots
+ *  for heartbeatGraceSeconds is killed and its job recorded as
+ *  "job-timeout". */
+WorkerPoolStats runWorkerPool(const std::vector<JobSpec> &jobs,
                               const CampaignRunner::Options &opts,
                               int nworkers, std::atomic<int> &busy,
                               const PoolReuseFn &reuse,

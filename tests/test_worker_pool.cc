@@ -8,16 +8,16 @@
  * costs a respawn but never a result, a poison job is quarantined
  * after killing its quota of workers, a hung job dies by deadline
  * and is classified "job-timeout", an allocation over RLIMIT_AS is
- * recorded gracefully as "job-oom", an exhausted respawn budget
- * degrades to in-process execution instead of failing, and the
- * result cache survives true multi-process concurrent writers. A
- * resume replays the run's records under either backend, a
- * quarantined job included, and never re-runs them.
+ * recorded gracefully as "job-oom", a pool whose workers cannot
+ * start stops resumable without running a job in the supervisor,
+ * and the result cache survives true multi-process concurrent
+ * writers. A resume replays the run's records under either backend,
+ * a quarantined job included, and never re-runs them.
  *
  * This binary doubles as its own campaign worker: main() dispatches
  * `--worker` to campaignWorkerMain() before gtest ever runs, so the
- * supervisor's default exePath (/proc/self/exe) re-execs the test
- * executable as the worker process.
+ * supervisor's re-exec of /proc/self/exe starts the test executable
+ * as the worker process.
  */
 
 #include <gtest/gtest.h>
@@ -143,7 +143,7 @@ TEST(JobCodec, FramesRoundTripAndRejectCorruption)
     ASSERT_EQ(pipe(fds), 0);
     ASSERT_TRUE(writeFrame(fds[1], WireType::RunJob, payload,
                            sizeof(payload)));
-    ASSERT_TRUE(writeFrame(fds[1], WireType::Heartbeat, nullptr, 0));
+    ASSERT_TRUE(writeFrame(fds[1], WireType::Shutdown, nullptr, 0));
     close(fds[1]);
     std::vector<unsigned char> bytes;
     unsigned char chunk[256];
@@ -169,7 +169,7 @@ TEST(JobCodec, FramesRoundTripAndRejectCorruption)
     EXPECT_EQ(std::memcmp(got[0].payload.data(), payload,
                           sizeof(payload)),
               0);
-    EXPECT_EQ(got[1].type, WireType::Heartbeat);
+    EXPECT_EQ(got[1].type, WireType::Shutdown);
     EXPECT_TRUE(got[1].payload.empty());
 
     // A flipped payload byte must fail the checksum, loudly.
@@ -203,8 +203,6 @@ TEST(JobCodec, WorkerInitRoundTrips)
     init.outDir = "/tmp/x";
     init.chaos = "once:segv@5";
     init.memLimitMb = 512;
-    init.jobTimeoutSeconds = 1.5;
-    init.heartbeatSeconds = 0.25;
     init.metricsPeriod = 50'000;
     init.telemetryDir = "/tmp/tele";
 
@@ -227,8 +225,6 @@ TEST(JobCodec, WorkerInitRoundTrips)
     EXPECT_EQ(back.outDir, init.outDir);
     EXPECT_EQ(back.chaos, init.chaos);
     EXPECT_EQ(back.memLimitMb, init.memLimitMb);
-    EXPECT_DOUBLE_EQ(back.jobTimeoutSeconds, init.jobTimeoutSeconds);
-    EXPECT_DOUBLE_EQ(back.heartbeatSeconds, init.heartbeatSeconds);
     EXPECT_EQ(back.metricsPeriod, init.metricsPeriod);
     EXPECT_EQ(back.telemetryDir, init.telemetryDir);
 }
@@ -345,9 +341,8 @@ TEST(WorkerPool, ProcessBackendMatchesThreadBackendByteForByte)
     ASSERT_EQ(procs.jobs.size(), spec.jobCount());
     EXPECT_EQ(procs.summary.done, spec.jobCount());
     expectAggregatesEqual(spec, threads, procs);
-    EXPECT_EQ(procs.workerCrashes, 0u);
-    EXPECT_EQ(procs.workerRestarts, 0u);
-    EXPECT_EQ(procs.inProcessJobs, 0u);
+    EXPECT_EQ(procs.pool.workerCrashes, 0u);
+    EXPECT_EQ(procs.pool.workerRestarts, 0u);
 }
 
 TEST(WorkerPool, WorkerSegfaultCostsARespawnNeverAResult)
@@ -356,13 +351,10 @@ TEST(WorkerPool, WorkerSegfaultCostsARespawnNeverAResult)
     const CampaignResult clean = runThreadBackend(spec, 1);
 
     // One worker slot: after the segfault a respawn is the only way
-    // the campaign can make progress, so the restart is observed
-    // deterministically (with two slots the survivor can drain the
-    // queue before the respawn backoff elapses).
+    // the campaign can make progress.
     const std::string dir = freshDir("oncesegv");
     CampaignRunner::Options opts = processOpts(dir, 1);
     opts.process.chaos = "once:segv@1";
-    opts.process.backoffBaseSeconds = 0.01;
     CampaignRunner runner(spec, opts);
     const CampaignResult result = runner.run();
 
@@ -371,9 +363,9 @@ TEST(WorkerPool, WorkerSegfaultCostsARespawnNeverAResult)
     // run's.
     EXPECT_EQ(result.summary.done, spec.jobCount());
     expectAggregatesEqual(spec, clean, result);
-    EXPECT_GE(result.workerCrashes, 1u);
-    EXPECT_GE(result.workerRestarts, 1u);
-    EXPECT_EQ(result.quarantined, 0u);
+    EXPECT_GE(result.pool.workerCrashes, 1u);
+    EXPECT_GE(result.pool.workerRestarts, 1u);
+    EXPECT_EQ(result.pool.quarantined, 0u);
 }
 
 TEST(WorkerPool, PoisonJobIsQuarantinedAfterConsecutiveKills)
@@ -389,8 +381,11 @@ TEST(WorkerPool, PoisonJobIsQuarantinedAfterConsecutiveKills)
     // The campaign finished despite the poison job...
     ASSERT_EQ(result.jobs.size(), spec.jobCount());
     EXPECT_EQ(result.summary.done, spec.jobCount());
-    EXPECT_EQ(result.quarantined, 1u);
-    EXPECT_GE(result.workerCrashes, 2u);
+    EXPECT_EQ(result.pool.quarantined, 1u);
+    EXPECT_GE(result.pool.workerCrashes, 2u);
+    // Every respawn was paid for by the poison job's credit.
+    EXPECT_EQ(result.pool.workerRestarts,
+              std::size_t(opts.process.poisonThreshold));
 
     // ...and the poison job is a classified, recorded failure
     // with a crash report, while its neighbours are untouched.
@@ -421,14 +416,14 @@ TEST(WorkerPool, QuarantinedJobIsReplayedNotReRunOnResume)
     opts.process.chaos = "segv@1";
     opts.process.poisonThreshold = 1;
     const CampaignResult first = CampaignRunner(spec, opts).run();
-    ASSERT_EQ(first.quarantined, 1u);
+    ASSERT_EQ(first.pool.quarantined, 1u);
     ASSERT_EQ(first.jobs[1].verdict, "worker-crash");
 
     const CampaignResult resumed = CampaignRunner(spec, opts).run();
     EXPECT_EQ(resumed.summary.done, spec.jobCount());
     EXPECT_EQ(resumed.replayed, spec.jobCount());
-    EXPECT_EQ(resumed.workerCrashes, 0u);
-    EXPECT_EQ(resumed.quarantined, 0u);
+    EXPECT_EQ(resumed.pool.workerCrashes, 0u);
+    EXPECT_EQ(resumed.pool.quarantined, 0u);
     EXPECT_EQ(resumed.jobs[1].verdict, "worker-crash");
     EXPECT_TRUE(resumed.jobs[1].infraFailure);
     expectAggregatesEqual(spec, first, resumed);
@@ -474,8 +469,8 @@ TEST(WorkerPool, HungJobDiesByDeadlineAsJobTimeout)
     const CampaignResult result = runner.run();
 
     EXPECT_EQ(result.summary.done, spec.jobCount());
-    EXPECT_GE(result.jobTimeouts, 1u);
-    EXPECT_EQ(result.quarantined, 1u);
+    EXPECT_GE(result.pool.jobTimeouts, 1u);
+    EXPECT_EQ(result.pool.quarantined, 1u);
     EXPECT_EQ(result.jobs[1].verdict, "job-timeout");
     EXPECT_TRUE(result.jobs[1].infraFailure);
     EXPECT_EQ(result.jobs[1].outcome, RunOutcome::Deadlock);
@@ -525,7 +520,6 @@ TEST(WorkerPool, StalledJobDiesByTelemetryHeartbeat)
     const std::string dir = freshDir("stall");
     CampaignRunner::Options opts = processOpts(dir);
     opts.process.chaos = "hang@1";
-    opts.process.heartbeatSeconds = 0.1;
     opts.process.heartbeatGraceSeconds = 1.0;
     opts.process.poisonThreshold = 1; // quarantine on first kill
     opts.telemetryDir = freshDir("stall-tele");
@@ -533,12 +527,11 @@ TEST(WorkerPool, StalledJobDiesByTelemetryHeartbeat)
     CampaignRunner runner(spec, opts);
     const CampaignResult result = runner.run();
 
-    // The hung worker keeps sending wall-clock heartbeats, and no
-    // job deadline is armed (jobTimeoutSeconds = 0): only the
+    // No job deadline is armed (jobTimeoutSeconds = 0): only the
     // missing telemetry snapshots can expose the stall.
     EXPECT_EQ(result.summary.done, spec.jobCount());
-    EXPECT_GE(result.jobTimeouts, 1u);
-    EXPECT_EQ(result.quarantined, 1u);
+    EXPECT_GE(result.pool.jobTimeouts, 1u);
+    EXPECT_EQ(result.pool.quarantined, 1u);
     EXPECT_EQ(result.jobs[1].verdict, "job-timeout");
     EXPECT_TRUE(result.jobs[1].infraFailure);
     EXPECT_EQ(result.jobs[1].outcome, RunOutcome::Deadlock);
@@ -564,36 +557,44 @@ TEST(WorkerPool, OomUnderRlimitIsRecordedGracefully)
     // bad_alloc inside the worker is a classified result, not a
     // death: no kills, no respawns, every job recorded.
     EXPECT_EQ(result.summary.done, spec.jobCount());
-    EXPECT_EQ(result.jobOoms, 1u);
-    EXPECT_EQ(result.workerCrashes, 0u);
-    EXPECT_EQ(result.workerRestarts, 0u);
+    EXPECT_EQ(result.pool.jobOoms, 1u);
+    EXPECT_EQ(result.pool.workerCrashes, 0u);
+    EXPECT_EQ(result.pool.workerRestarts, 0u);
     EXPECT_EQ(result.jobs[1].verdict, "job-oom");
     EXPECT_TRUE(result.jobs[1].infraFailure);
     EXPECT_EQ(result.jobs[0].verdict, "ok");
 }
 
-TEST(WorkerPool, ExhaustedRespawnBudgetDegradesToInProcess)
+// Workers that cannot start retire their slots; with every slot
+// retired the pool stops. No job runs in the supervisor, nothing is
+// recorded, and the run directory resumes like an interrupted one.
+TEST(WorkerPool, WorkersThatCannotStartLeaveTheCampaignResumable)
 {
     const CampaignSpec spec = poolSpec();
     const CampaignResult clean = runThreadBackend(spec, 1);
 
-    const std::string dir = freshDir("degraded");
+    // The workers rebuild half the supervisor's job list from this
+    // descriptor, so each one exits 3 before its Hello.
+    const std::string dir = freshDir("nostart");
     CampaignRunner::Options opts = processOpts(dir);
-    opts.process.chaos = "segv@0";  // head job kills every worker
-    opts.process.maxRespawnsPerWorker = 0;
-    opts.process.poisonThreshold = 99; // never quarantine
-    CampaignRunner runner(spec, opts);
-    const CampaignResult result = runner.run();
+    opts.descriptor.seedsOverride = 1;
+    const CampaignResult failed = CampaignRunner(spec, opts).run();
+    EXPECT_TRUE(failed.interrupted);
+    EXPECT_EQ(failed.summary.done, 0u);
+    EXPECT_NE(failed.pool.abandoned.find("before its Hello"),
+              std::string::npos)
+        << failed.pool.abandoned;
+    EXPECT_EQ(failed.pool.workerRestarts, 0u);
+    const std::string records = dir + "/jobs";
+    EXPECT_TRUE(!std::filesystem::exists(records) ||
+                std::filesystem::is_empty(records));
 
-    // With no respawn budget and every worker dead, the supervisor
-    // drains the remaining jobs in-process (where the chaos hook is
-    // inert) — same report, degraded transport.
-    EXPECT_EQ(result.summary.done, spec.jobCount());
-    expectAggregatesEqual(spec, clean, result);
-    EXPECT_GE(result.degradedTransitions, 1u);
-    EXPECT_GE(result.inProcessJobs, 1u);
-    EXPECT_EQ(result.workerRestarts, 0u);
-    EXPECT_EQ(result.quarantined, 0u);
+    const CampaignResult resumed =
+        CampaignRunner(spec, processOpts(dir)).run();
+    EXPECT_FALSE(resumed.interrupted);
+    EXPECT_EQ(resumed.summary.done, spec.jobCount());
+    EXPECT_TRUE(resumed.pool.abandoned.empty());
+    expectAggregatesEqual(spec, clean, resumed);
 }
 
 TEST(WorkerPool, StopFlagDrainsBeforeAssigningAnything)

@@ -121,21 +121,24 @@ usage()
         "                    threads, so a worker segfault/OOM/hang\n"
         "                    is classified (worker-crash,\n"
         "                    job-timeout, job-oom) without killing\n"
-        "                    the campaign (docs/CAMPAIGN.md)\n"
-        "  --job-timeout S   per-job wall-clock deadline (seconds,\n"
-        "                    process backend; also arms RLIMIT_CPU\n"
-        "                    in the workers)\n"
-        "  --job-mem-limit M per-worker RLIMIT_AS in MiB; an\n"
-        "                    over-budget job is recorded as job-oom\n"
-        "  --max-respawns N  respawn budget per worker slot\n"
-        "                    (default 3, exponential backoff)\n"
+        "                    the campaign (docs/CAMPAIGN.md).\n"
+        "                    A worker that dies mid-job is\n"
+        "                    respawned at once and its job retried;\n"
+        "                    if no worker can start, the campaign\n"
+        "                    exits 5 with the rest left for --resume\n"
+        "  --job-timeout S   process backend: kill a job's worker\n"
+        "                    after S wall-clock seconds (0 = none)\n"
+        "  --job-mem-limit M process backend: per-worker RLIMIT_AS\n"
+        "                    in MiB; an over-budget job is recorded\n"
+        "                    as job-oom\n"
         "  --poison-threshold N\n"
-        "                    quarantine a job after it kills N\n"
-        "                    consecutive workers (default 2)\n"
+        "                    process backend: quarantine a job after\n"
+        "                    it kills N >= 1 consecutive workers\n"
+        "                    (default 2)\n"
         "  --chaos-worker SPEC\n"
         "                    test hook: make a worker fail on a\n"
         "                    chosen job; SPEC = [once:]MODE@INDEX,\n"
-        "                    MODE segv|abort|exit|hang|mute|oom\n"
+        "                    MODE segv|abort|exit|hang|oom\n"
         "                    (implies --process)\n"
         "  --telemetry DIR   live telemetry: per-job metric\n"
         "                    snapshot streams (metrics-jobN.ndjson)\n"
@@ -143,8 +146,8 @@ usage()
         "                    (metrics-jobN.prom) under DIR, plus an\n"
         "                    aggregated progress readout; with\n"
         "                    --process, snapshots double as sim-\n"
-        "                    progress heartbeats that sharpen hang\n"
-        "                    detection (docs/OBSERVABILITY.md).\n"
+        "                    progress heartbeats that expose a\n"
+        "                    stalled job (docs/OBSERVABILITY.md).\n"
         "                    Aggregate JSON/CSV stay byte-identical\n"
         "  --telemetry-period N\n"
         "                    snapshot period in cycles (default:\n"
@@ -152,9 +155,9 @@ usage()
         "                    50000); must equal a period the\n"
         "                    manifest sets\n"
         "  --heartbeat-grace S\n"
-        "                    process backend: kill a worker silent\n"
-        "                    (no heartbeat, or busy with no\n"
-        "                    telemetry) for S seconds (default 30)\n"
+        "                    with --process and --telemetry: kill a\n"
+        "                    busy worker that sends no snapshot for\n"
+        "                    S seconds (default 30, 0 = never)\n"
         "  --dry-run         print the expanded job list and exit\n"
         "  --no-progress     disable the live progress line\n"
         "SIGINT/SIGTERM finish in-flight jobs, record them, and\n"
@@ -204,15 +207,13 @@ main(int argc, char **argv)
     std::string spec_flag;
     std::string cache_dir;
     bool no_cache = false;
-    bool process_backend = false;
-    double job_timeout = 0;
-    std::uint64_t job_mem_mb = 0;
-    int max_respawns = -1;
-    int poison_threshold = 0;
-    std::string chaos_spec;
+    // Process-backend supervision; pool_flag names the last
+    // supervision flag given, since only that backend reads them.
+    ProcessPoolOptions pool;
+    std::string pool_flag;
+    bool grace_given = false;
     std::string telemetry_dir;
     Tick telemetry_period = 0;
-    double heartbeat_grace = 0;
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -243,6 +244,9 @@ main(int argc, char **argv)
             a == "--recovery" || a == "--verify-equivalence" ||
             a == "--strict")
             spec_flag = a;
+        if (a == "--job-timeout" || a == "--job-mem-limit" ||
+            a == "--poison-threshold" || a == "--heartbeat-grace")
+            pool_flag = a;
         if (a == "--spec")
             spec_path = next();
         else if (a == "--builtin")
@@ -278,25 +282,24 @@ main(int argc, char **argv)
         else if (a == "--no-cache")
             no_cache = true;
         else if (a == "--process")
-            process_backend = true;
+            pool.enabled = true;
         else if (a == "--job-timeout")
-            seconds(job_timeout);
+            seconds(pool.jobTimeoutSeconds);
         else if (a == "--job-mem-limit")
-            count(next(), job_mem_mb);
-        else if (a == "--max-respawns")
-            count(next(), max_respawns);
+            count(next(), pool.jobMemLimitMb);
         else if (a == "--poison-threshold")
-            count(next(), poison_threshold);
+            check(parseCount(a, next(), pool.poisonThreshold, 1));
         else if (a == "--chaos-worker") {
-            chaos_spec = next();
-            process_backend = true;
+            pool.chaos = next();
+            pool.enabled = true;
         } else if (a == "--telemetry")
             telemetry_dir = next();
         else if (a == "--telemetry-period")
             count(next(), telemetry_period);
-        else if (a == "--heartbeat-grace")
-            seconds(heartbeat_grace);
-        else if (a == "--dry-run")
+        else if (a == "--heartbeat-grace") {
+            seconds(pool.heartbeatGraceSeconds);
+            grace_given = true;
+        } else if (a == "--dry-run")
             dry_run = true;
         else if (a == "--no-progress")
             progress = false;
@@ -311,17 +314,29 @@ main(int argc, char **argv)
                      "--telemetry-period needs --telemetry DIR\n");
         return 64;
     }
+    if (!pool_flag.empty() && !pool.enabled) {
+        std::fprintf(stderr,
+                     "%s needs --process (threads are not "
+                     "supervised)\n",
+                     pool_flag.c_str());
+        return 64;
+    }
+    if (grace_given && telemetry_dir.empty()) {
+        std::fprintf(stderr, "--heartbeat-grace needs --telemetry "
+                             "DIR (it times the snapshots)\n");
+        return 64;
+    }
 
-    if (!chaos_spec.empty()) {
+    if (!pool.chaos.empty()) {
         std::string cmode;
         std::size_t cidx = 0;
         bool conce = false;
-        if (!parseChaosSpec(chaos_spec, cmode, cidx, conce)) {
+        if (!parseChaosSpec(pool.chaos, cmode, cidx, conce)) {
             std::fprintf(stderr,
                          "--chaos-worker: bad spec '%s' (want "
-                         "[once:]segv|abort|exit|hang|mute|oom"
+                         "[once:]segv|abort|exit|hang|oom"
                          "@JOBINDEX)\n",
-                         chaos_spec.c_str());
+                         pool.chaos.c_str());
             return 64;
         }
     }
@@ -426,16 +441,7 @@ main(int argc, char **argv)
                             : (out_dir.empty()
                                    ? std::string()
                                    : out_dir + "/cache");
-    opts.process.enabled = process_backend;
-    opts.process.jobTimeoutSeconds = job_timeout;
-    opts.process.jobMemLimitMb = job_mem_mb;
-    if (max_respawns >= 0)
-        opts.process.maxRespawnsPerWorker = max_respawns;
-    if (poison_threshold > 0)
-        opts.process.poisonThreshold = poison_threshold;
-    opts.process.chaos = chaos_spec;
-    if (heartbeat_grace > 0)
-        opts.process.heartbeatGraceSeconds = heartbeat_grace;
+    opts.process = pool;
     opts.telemetryDir = telemetry_dir;
     opts.telemetryPeriod = telemetry_period;
 
@@ -490,20 +496,24 @@ main(int argc, char **argv)
                      "telemetry: per-job streams under %s "
                      "(metrics-jobN.ndjson / .prom)\n",
                      telemetry_dir.c_str());
-    if (process_backend)
+    const WorkerPoolStats &st = result.pool;
+    if (pool.enabled)
         std::fprintf(stderr,
                      "supervision: %zu restart%s, %zu crash%s, "
-                     "%zu timeout%s, %zu oom, %zu quarantined, "
-                     "%zu degraded, %zu in-process\n",
-                     result.workerRestarts,
-                     result.workerRestarts == 1 ? "" : "s",
-                     result.workerCrashes,
-                     result.workerCrashes == 1 ? "" : "es",
-                     result.jobTimeouts,
-                     result.jobTimeouts == 1 ? "" : "s",
-                     result.jobOoms, result.quarantined,
-                     result.degradedTransitions,
-                     result.inProcessJobs);
+                     "%zu timeout%s, %zu oom, %zu quarantined\n",
+                     st.workerRestarts,
+                     st.workerRestarts == 1 ? "" : "s",
+                     st.workerCrashes,
+                     st.workerCrashes == 1 ? "" : "es",
+                     st.jobTimeouts, st.jobTimeouts == 1 ? "" : "s",
+                     st.jobOoms, st.quarantined);
+    if (!st.abandoned.empty())
+        std::fprintf(stderr,
+                     "supervision: no worker could start (%s); "
+                     "%zu of %zu jobs left unrun\n",
+                     st.abandoned.c_str(),
+                     result.summary.total - result.summary.done,
+                     result.summary.total);
     if (!out_dir.empty()) {
         std::ofstream d(out_dir + "/durability.json");
         if (d)
@@ -517,18 +527,13 @@ main(int argc, char **argv)
               << "  \"cacheHits\": " << result.cacheHits << ",\n"
               << "  \"cacheMisses\": " << result.cacheMisses
               << ",\n"
-              << "  \"workerRestarts\": " << result.workerRestarts
+              << "  \"workerRestarts\": " << st.workerRestarts
               << ",\n"
-              << "  \"workerCrashes\": " << result.workerCrashes
+              << "  \"workerCrashes\": " << st.workerCrashes
               << ",\n"
-              << "  \"jobTimeouts\": " << result.jobTimeouts
-              << ",\n"
-              << "  \"jobOoms\": " << result.jobOoms << ",\n"
-              << "  \"quarantined\": " << result.quarantined
-              << ",\n"
-              << "  \"degradedTransitions\": "
-              << result.degradedTransitions << ",\n"
-              << "  \"inProcessJobs\": " << result.inProcessJobs
+              << "  \"jobTimeouts\": " << st.jobTimeouts << ",\n"
+              << "  \"jobOoms\": " << st.jobOoms << ",\n"
+              << "  \"quarantined\": " << st.quarantined
               << "\n}\n";
     }
 
